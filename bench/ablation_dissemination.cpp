@@ -1,11 +1,10 @@
-// Ablation, part 1: the three information-dissemination strategies of
-// Section 3.5 under the paper's 3-decision-point GT3 deployment —
+// Ablation: the three information-dissemination strategies of Section 3.5
+// under the paper's 3-decision-point GT3 deployment —
 //   1) USLA/snapshot state + usage exchanged,
 //   2) usage (dispatch records) only  [the paper's choice],
 //   3) no exchange at all.
-// Part 2: *how* the chosen strategy's records travel — the src/overlay/
-// dissemination overlays (mesh / tree / gossip / super-peer) at a fixed
-// 10-point deployment, trading wire bytes against state freshness.
+// *How* the chosen strategy's records travel (the src/overlay/ strategies)
+// is swept by ablation_topology.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -52,45 +51,6 @@ int main(int argc, char** argv) {
                "estimates blur the receiver's own precise dispatch records, so\n"
                "decision points herd toward the same seemingly-free sites\n"
                "(watch the QTime column). The paper's choice of strategy 2 is\n"
-               "justified by robustness as well as simplicity.\n\n";
-
-  const overlay::Kind kinds[] = {overlay::Kind::kMesh, overlay::Kind::kTree,
-                                 overlay::Kind::kGossip,
-                                 overlay::Kind::kSuperPeer};
-  Table sweep({"Overlay", "Accuracy (handled)", "Records applied",
-               "Duplicates", "Bytes/round", "Mean fanout", "Max depth",
-               "TTL drops", "Response (s)"});
-  for (const overlay::Kind kind : kinds) {
-    experiments::ScenarioConfig cfg =
-        bench::paper_config(args, net::ContainerProfile::gt3(), 10);
-    cfg.name = std::string("overlay-") + overlay::kind_name(kind);
-    cfg.overlay_options.kind = kind;
-    cfg.overlay_options.seed = args.seed;
-    const experiments::ScenarioResult r = experiments::run_scenario(cfg);
-
-    std::uint64_t applied = 0, duplicates = 0;
-    for (const auto& dp : r.dps) {
-      applied += dp.records_applied;
-      duplicates += dp.records_duplicate;
-    }
-    sweep.add_row({overlay::kind_name(kind), Table::pct(r.handled.accuracy),
-                   std::to_string(applied), std::to_string(duplicates),
-                   Table::num(r.overlay.bytes_per_round() * 10.0, 0),
-                   Table::num(r.overlay.mean_fanout(), 2),
-                   std::to_string(r.overlay.max_hops),
-                   std::to_string(r.overlay.relays_suppressed),
-                   Table::num(r.handled.response_s, 2)});
-  }
-  std::cout << "== Ablation: Dissemination Overlay (10 GT3 decision points) ==\n";
-  sweep.render(std::cout);
-  std::cout << "Mesh delivers every record in one exchange round at quadratic\n"
-               "wire cost. Tree and super-peer relay over a sparse structure:\n"
-               "a fraction of mesh traffic, records arriving relay-depth\n"
-               "rounds later (watch max depth), so remote state is staler and\n"
-               "accuracy dips — most visibly over short windows, where the\n"
-               "last few rounds' records never finish spreading before the\n"
-               "run ends. Gossip pays duplicates for probabilistic\n"
-               "robustness. No strategy loses records: dedup plus digest\n"
-               "anti-entropy deliver everything, just later.\n";
+               "justified by robustness as well as simplicity.\n";
   return 0;
 }

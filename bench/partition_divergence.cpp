@@ -11,7 +11,7 @@
 //     and the client reroutes they caused (ON only),
 //   * post-heal reconciliation: how fast scheduling accuracy re-converges
 //     to the fault-free control, digest-mismatch detection and targeted
-//     delta pulls versus the full kCatchUp snapshots the OFF run leans on,
+//     delta pulls versus the full pulls the OFF run leans on,
 //     and the records shipped by each path.
 #include <algorithm>
 #include <iostream>
@@ -202,8 +202,6 @@ int main(int argc, char** argv) {
                       std::to_string(on.partition.degraded_refusals)});
   overcommit.add_row({"client degraded reroutes", "0",
                       std::to_string(on.partition.client_degraded_redirects)});
-  overcommit.add_row({"double commits detected", "-",
-                      std::to_string(on.partition.double_commits)});
   // Ground truth, not belief: brokered placements that pushed a VO past
   // its USLA cap at the selected site, judged against actual occupancy at
   // dispatch time (the split-brain entitlement breach the digests exist

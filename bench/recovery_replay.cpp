@@ -4,18 +4,19 @@
 // strategies:
 //
 //   * catchup  — no disk (the baseline broker): the restarted point comes
-//     back empty and pulls FULL kCatchUp snapshots from every neighbor,
+//     back empty and pulls every active record from every neighbor (a
+//     full pull),
 //   * wal      — durable WAL + checkpoints, flooding anti-entropy: local
-//     replay restores the pre-crash committed state, then the legacy full
-//     catch-up still runs (mostly shipping records replay already has),
+//     replay restores the pre-crash committed state, then the full pull
+//     still runs (mostly shipping records replay already has),
 //   * wal+delta — durable replay plus digest-driven delta anti-entropy:
 //     replay restores local state and the piggybacked digests trigger
 //     targeted pulls for only the records committed elsewhere DURING the
 //     outage — the gap, not the world.
 //
 // Reported per strategy: records replayed locally from disk, anti-entropy
-// records shipped over the network to the restarted point (catch-up
-// snapshots + delta pulls), accounted replay time, and the WAL/checkpoint
+// records shipped over the network to the restarted point (full pulls +
+// targeted delta pulls), accounted replay time, and the WAL/checkpoint
 // device traffic the durability paid for it. The headline is the network
 // column: local replay should shrink the transfer to the outage gap.
 #include <iostream>

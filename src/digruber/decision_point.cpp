@@ -64,9 +64,9 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
                           [this](std::span<const std::uint8_t> body, NodeId from) {
                             return handle_report_selection(body, from);
                           });
-  // Exchange and catch-up are control-plane traffic: under overload the
-  // container must keep the mesh converging, so they are never shed behind
-  // the query backlog.
+  // Exchange and record pulls are control-plane traffic: under overload
+  // the container must keep the mesh converging, so they are never shed
+  // behind the query backlog.
   server_.register_method(
       kExchange,
       [this](std::span<const std::uint8_t> body, NodeId from) {
@@ -74,26 +74,11 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
       },
       net::Priority::kControl);
   server_.register_method(
-      kCatchUp,
+      kDeltaPull,
       [this](std::span<const std::uint8_t> body, NodeId from) {
-        return handle_catch_up(body, from);
+        return handle_delta_pull(body, from);
       },
       net::Priority::kControl);
-  if (options_.partition.enabled ||
-      options_.overlay.kind != overlay::Kind::kMesh) {
-    // Delta anti-entropy is control-plane traffic like catch-up: a healing
-    // mesh must reconcile even while the query backlog is deep. Sparse
-    // overlays need it even without partition tolerance: a record flushed
-    // while rosters transiently diverge can dead-end mid-path, and unlike
-    // the full mesh no later round re-offers it — the piggybacked digest
-    // is the only way the hole is ever discovered.
-    server_.register_method(
-        kDeltaPull,
-        [this](std::span<const std::uint8_t> body, NodeId from) {
-          return handle_delta_pull(body, from);
-        },
-        net::Priority::kControl);
-  }
 
   if (options_.membership.enabled) {
     membership_ = std::make_unique<MembershipTable>(
@@ -114,8 +99,8 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
   if (options_.membership.enabled || options_.partition.enabled ||
       options_.durability.enabled) {
     // Door policy: refuse query-class work with a typed NACK before it
-    // consumes a container slot; control frames (exchange, catch-up, join,
-    // leave, delta pull) always flow. Three refusal causes share the gate:
+    // consumes a container slot; control frames (exchange, pull, join,
+    // leave) always flow. Three refusal causes share the gate:
     // joining/draining (kNackDraining), recovery replay in progress (also
     // kNackDraining — the point is up but its state is still rebuilding),
     // and degraded-mode admission while a quorum of peers is stale
@@ -281,18 +266,7 @@ void DecisionPoint::try_join() {
         for (const grid::SiteSnapshot& base : reply.bases) {
           engine_.view().apply_snapshot(base);
         }
-        for (const gruber::DispatchRecord& record : reply.records) {
-          auto& seen = applied_[record.origin];
-          if (!seen.insert(record.seq).second) {
-            ++records_duplicate_;
-            continue;
-          }
-          engine_.record(record);
-          ++join_snapshot_records_;
-          wal_log_dispatch(record, false, 0, 0);
-          charge_bank(record);  // after the frame: settle order, see above
-        }
-        wal_commit();
+        join_snapshot_records_ += apply_pulled(reply.records, false);
         for (const DpLoadHint& hint : reply.hints) {
           if (hint.node != server_.node().value()) {
             peer_hints_[hint.node] = hint;
@@ -318,9 +292,9 @@ void DecisionPoint::try_join() {
         // Announce: the first exchange carries this point's alive entry,
         // so peers admit it and start flooding records its way...
         run_exchange();
-        // ...and the post-snapshot delta rides the anti-entropy path; the
-        // dedup sets discard whatever overlaps the snapshot window.
-        run_catch_up();
+        // ...and the post-snapshot delta rides a full pull; the dedup sets
+        // discard whatever overlaps the snapshot window.
+        run_full_pull();
         log::info("digruber", "dp ", id_.value(), " joined via snapshot (",
                   join_snapshot_records_, " records, ", join_retries_,
                   " retries)");
@@ -559,8 +533,8 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
       // piggybacked digests on the next exchange rounds trigger targeted
       // delta pulls for exactly the diverged VOs — no full-snapshot
       // transfer. Without digests there is no way to bound the gap, so
-      // fall back to the full catch-up.
-      if (!options_.partition.enabled) run_catch_up();
+      // fall back to a full pull.
+      if (!options_.partition.enabled) run_full_pull();
       log::info("digruber", "dp ", id_.value(), " recovered (incarnation ",
                 incarnation_, ", ", replay_records_, " records replayed)");
     });
@@ -575,76 +549,9 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
     t->instant(trace::Category::kDp, id_.value(), "dp.restart", {},
                std::int64_t(incarnation_));
   }
-  run_catch_up();
+  run_full_pull();
   log::info("digruber", "dp ", id_.value(), " restarted (incarnation ",
             incarnation_, ")");
-}
-
-void DecisionPoint::run_catch_up() {
-  last_catch_up_ = sim_.now();
-  CatchUpRequest request;
-  request.from = id_;
-  request.incarnation = incarnation_;
-  // The catch-up span covers issuing the fan-out; each neighbor's reply
-  // lands later as a "dp.catchup_applied" instant under the same trace.
-  trace::SpanContext cctx;
-  if (auto* t = trace::current()) {
-    cctx = t->begin(trace::Category::kDp, id_.value(), "dp.catchup", {},
-                    std::int64_t(neighbors_.size()),
-                    std::int64_t(incarnation_));
-  }
-  trace::ContextGuard cguard(cctx);
-  for (const NodeId neighbor : neighbors_) {
-    peer_client_.call<CatchUpRequest, CatchUpReply>(
-        neighbor, kCatchUp, request, options_.catchup_timeout,
-        [this, incarnation = incarnation_, cctx](Result<CatchUpReply> result) {
-          // A second crash while this call was in flight invalidates it.
-          if (!running_ || incarnation_ != incarnation) return;
-          if (!result.ok()) return;
-          catchup_records_received_ += result.value().records.size();
-          std::int64_t applied = 0;
-          for (const gruber::DispatchRecord& record : result.value().records) {
-            auto& seen = applied_[record.origin];
-            if (!seen.insert(record.seq).second) {
-              ++records_duplicate_;
-              continue;
-            }
-            engine_.record(record);
-            ++resync_applied_;
-            ++applied;
-            wal_log_dispatch(record, false, 0, 0);
-            charge_bank(record);  // after the frame: settle order, see above
-            // Not re-buffered into fresh_: neighbors already hold these.
-          }
-          wal_commit();
-          if (auto* t = trace::current()) {
-            t->instant(trace::Category::kDp, id_.value(), "dp.catchup_applied",
-                       cctx, applied,
-                       std::int64_t(result.value().records.size()));
-          }
-        });
-  }
-  if (auto* t = trace::current()) {
-    t->end(trace::Category::kDp, id_.value(), "dp.catchup", cctx,
-           std::int64_t(neighbors_.size()));
-  }
-}
-
-net::Served DecisionPoint::handle_catch_up(std::span<const std::uint8_t> body,
-                                           NodeId /*from*/) {
-  CatchUpRequest request;
-  if (!net::wire::decode(body, request)) return {};
-  ++catchups_served_;
-
-  CatchUpReply reply;
-  reply.from = id_;
-  reply.records = engine_.view().active_records(sim_.now());
-
-  net::Served served;
-  served.handler_cost =
-      sim::Duration::millis(0.2) * double(reply.records.size() + 1);
-  served.reply = net::wire::encode_buffer(reply);
-  return served;
 }
 
 gruber::ViewDigest DecisionPoint::settled_digest(sim::Time now) const {
@@ -706,42 +613,56 @@ void DecisionPoint::run_delta_pull(NodeId peer_node, DpId peer,
                     std::int64_t(request.vos.size()));
   }
   trace::ContextGuard dguard(dctx);
+  send_pull(peer_node, request, dctx);
+}
+
+void DecisionPoint::run_full_pull() {
+  last_full_pull_ = sim_.now();
+  DeltaPullRequest request;
+  request.from = id_;
+  request.digest_round = exchange_round_;
+  // The span covers issuing the fan-out; each neighbor's reply lands later
+  // as a "dp.catchup_applied" instant under the same trace.
+  trace::SpanContext cctx;
+  if (auto* t = trace::current()) {
+    cctx = t->begin(trace::Category::kDp, id_.value(), "dp.catchup", {},
+                    std::int64_t(neighbors_.size()),
+                    std::int64_t(incarnation_));
+  }
+  trace::ContextGuard cguard(cctx);
+  for (const NodeId neighbor : neighbors_) send_pull(neighbor, request, cctx);
+  if (auto* t = trace::current()) {
+    t->end(trace::Category::kDp, id_.value(), "dp.catchup", cctx,
+           std::int64_t(neighbors_.size()));
+  }
+}
+
+void DecisionPoint::send_pull(NodeId peer_node, const DeltaPullRequest& request,
+                              trace::SpanContext ctx) {
   peer_client_.call<DeltaPullRequest, DeltaPullReply>(
-      peer_node, kDeltaPull, request, options_.partition.delta_pull_timeout,
-      [this, incarnation = incarnation_, dctx](Result<DeltaPullReply> result) {
+      peer_node, kDeltaPull, request, options_.pull_timeout,
+      [this, incarnation = incarnation_, full = request.full(),
+       ctx](Result<DeltaPullReply> result) {
         // A crash while the pull was in flight invalidates it.
         if (!running_ || incarnation_ != incarnation) return;
         if (!result.ok()) return;
-        trace::ContextGuard guard(dctx);
+        trace::ContextGuard guard(ctx);
         const DeltaPullReply& reply = result.value();
-        const sim::Time now = sim_.now();
-        std::int64_t applied = 0;
         for (const grid::SiteSnapshot& base : reply.bases) {
           engine_.view().apply_snapshot(base);  // as_of guard drops stale ones
         }
-        for (const gruber::DispatchRecord& record : reply.records) {
-          // An already-expired record must not resurrect: the merge would
-          // re-admit it for one prune cycle and skew the digest.
-          if (record.when + record.est_runtime <= now) continue;
-          // Register in the flooding dedup set *before* merging, so a
-          // full kCatchUp racing this pull (a round gap and a digest
-          // mismatch often fire together) cannot re-apply the record.
-          applied_[record.origin].insert(record.seq);
-          const auto merged = engine_.view().merge_record(record, now);
-          if (merged.conflict) ++delta_conflicts_;
-          if (merged.double_commit) ++double_commits_;
-          if (merged.applied) {
-            ++delta_records_applied_;
-            ++applied;
-            wal_log_dispatch(record, false, 0, 0);
-            charge_bank(record);  // after the frame: settle order, see above
-            // Not re-buffered into fresh_: the peer holds these, and other
-            // peers detect their own divergence from its digest.
-          } else if (!merged.conflict) {
-            ++records_duplicate_;
+        const std::uint64_t applied = apply_pulled(reply.records, !full);
+        const auto shipped = std::int64_t(reply.records.size());
+        if (full) {
+          catchup_records_received_ += reply.records.size();
+          resync_applied_ += applied;
+          if (auto* t = trace::current()) {
+            t->instant(trace::Category::kDp, id_.value(), "dp.catchup_applied",
+                       ctx, std::int64_t(applied), shipped);
           }
+          return;
         }
-        wal_commit();
+        delta_records_applied_ += applied;
         // The reply carried the peer's settled digest at serve time:
         // matching it over the same window means this single pull fully
         // reconciled the pair.
@@ -750,23 +671,50 @@ void DecisionPoint::run_delta_pull(NodeId peer_node, DpId peer,
           ++delta_converged_;
         }
         if (auto* t = trace::current()) {
-          t->end(trace::Category::kDp, id_.value(), "dp.delta_pull", dctx,
-                 applied, std::int64_t(result.value().records.size()));
+          t->end(trace::Category::kDp, id_.value(), "dp.delta_pull", ctx,
+                 std::int64_t(applied), shipped);
         }
       });
+}
+
+std::uint64_t DecisionPoint::apply_pulled(
+    const std::vector<gruber::DispatchRecord>& records, bool restore) {
+  const sim::Time now = sim_.now();
+  std::uint64_t applied = 0;
+  for (const gruber::DispatchRecord& record : records) {
+    // The dedup set first: a full pull, a targeted pull and the flooding
+    // rounds often race over the same records after a heal. An expired
+    // record is never restored: it would count for one prune cycle.
+    if (!applied_[record.origin].insert(record.seq).second &&
+        (!restore || record.when + record.est_runtime <= now ||
+         engine_.view().holds(record))) {
+      ++records_duplicate_;
+      continue;
+    }
+    engine_.record(record);
+    ++applied;
+    wal_log_dispatch(record, false, 0, 0);
+    charge_bank(record);  // after the frame: settle order, see handle_exchange
+  }
+  wal_commit();
+  return applied;
 }
 
 net::Served DecisionPoint::handle_delta_pull(std::span<const std::uint8_t> body,
                                              NodeId /*from*/) {
   DeltaPullRequest request;
   if (!net::wire::decode(body, request)) return {};
-  ++delta_pulls_served_;
+  ++pulls_served_;
 
   DeltaPullReply reply;
   reply.from = id_;
-  reply.records = engine_.view().records_for_vos(request.vos, sim_.now());
-  if (request.want_bases) reply.bases = engine_.view().base_snapshots();
-  reply.digest = settled_digest(sim_.now());
+  if (request.full()) {
+    reply.records = engine_.view().active_records(sim_.now());
+  } else {
+    reply.records = engine_.view().records_for_vos(request.vos, sim_.now());
+    if (request.want_bases) reply.bases = engine_.view().base_snapshots();
+    reply.digest = settled_digest(sim_.now());
+  }
 
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "dp.delta_served",
@@ -1084,19 +1032,19 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
 
   // Flooding never retransmits: a jump in the peer's round counter means
   // dropped rounds (partition, loss) whose records would otherwise stay
-  // unknown here until they age out. Re-sync via the catch-up exchange,
-  // at most once per exchange interval (a heal makes every peer's gap
-  // visible at the same tick). A round at or below the last one seen is a
-  // peer restart — its counter reset — not a gap.
+  // unknown here until they age out. Re-sync with a full pull, at most
+  // once per exchange interval (a heal makes every peer's gap visible at
+  // the same tick). A round at or below the last one seen is a peer
+  // restart — its counter reset — not a gap.
   const auto [it, first_contact] =
       last_peer_round_.try_emplace(message.from, message.exchange_round);
   if (!first_contact) {
     const bool gap = message.exchange_round > it->second + 1;
     it->second = message.exchange_round;
-    if (gap && (last_catch_up_ == sim::Time::zero() ||
-                sim_.now() - last_catch_up_ >= options_.exchange_interval)) {
+    if (gap && (last_full_pull_ == sim::Time::zero() ||
+                sim_.now() - last_full_pull_ >= options_.exchange_interval)) {
       ++gap_resyncs_;
-      run_catch_up();
+      run_full_pull();
     }
   }
 
@@ -1745,64 +1693,23 @@ void DecisionPoint::check_saturation() {
             window_avg, "s, queue ", signal.queue_depth);
 }
 
-std::vector<std::vector<std::size_t>> overlay_neighbors(std::size_t n,
-                                                        Overlay overlay) {
-  std::vector<std::vector<std::size_t>> out(n);
-  if (n < 2) return out;
-  switch (overlay) {
-    case Overlay::kMesh:
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          if (i != j) out[i].push_back(j);
-      break;
-    case Overlay::kRing:
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i].push_back((i + 1) % n);
-        out[i].push_back((i + n - 1) % n);
-      }
-      break;
-    case Overlay::kStar:
-      for (std::size_t i = 1; i < n; ++i) {
-        out[0].push_back(i);
-        out[i].push_back(0);
-      }
-      break;
-  }
-  // Ring of 2 would duplicate the single neighbor.
-  if (overlay == Overlay::kRing && n == 2) {
-    out[0] = {1};
-    out[1] = {0};
-  }
-  return out;
-}
-
-void connect(std::vector<DecisionPoint*> dps, Overlay overlay) {
-  const auto neighbors = overlay_neighbors(dps.size(), overlay);
-  for (std::size_t i = 0; i < dps.size(); ++i) {
-    std::vector<NodeId> nodes;
-    nodes.reserve(neighbors[i].size());
-    for (const std::size_t j : neighbors[i]) nodes.push_back(dps[j]->node());
-    dps[i]->set_neighbors(std::move(nodes));
-  }
-}
-
 void connect(std::vector<DecisionPoint*> dps, const overlay::Options& options) {
-  if (options.kind == overlay::Kind::kMesh) {
-    // Bit-exact legacy wiring: raw neighbor lists, no roster, no strategy
-    // structure to maintain.
-    connect(std::move(dps), Overlay::kMesh);
-    return;
-  }
-  std::vector<overlay::Member> all;
-  all.reserve(dps.size());
-  for (const DecisionPoint* dp : dps) all.push_back({dp->id(), dp->node()});
   for (DecisionPoint* dp : dps) {
+    // The mesh keeps raw neighbor lists: no roster, no strategy structure
+    // to maintain. Sparse strategies need the full roster (id + node per
+    // peer) so every point derives the same tree / super-peer structure.
+    std::vector<NodeId> nodes;
     std::vector<overlay::Member> peers;
-    peers.reserve(all.size() - 1);
-    for (const overlay::Member& m : all) {
-      if (m.dp != dp->id()) peers.push_back(m);
+    for (const DecisionPoint* other : dps) {
+      if (other == dp) continue;
+      nodes.push_back(other->node());
+      peers.push_back({other->id(), other->node()});
     }
-    dp->set_overlay_view(std::move(peers));
+    if (options.kind == overlay::Kind::kMesh) {
+      dp->set_neighbors(std::move(nodes));
+    } else {
+      dp->set_overlay_view(std::move(peers));
+    }
   }
 }
 

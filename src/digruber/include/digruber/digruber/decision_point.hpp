@@ -20,6 +20,7 @@
 #include "digruber/net/rpc.hpp"
 #include "digruber/overlay/overlay.hpp"
 #include "digruber/sim/simulation.hpp"
+#include "digruber/trace/trace.hpp"
 
 namespace digruber::digruber {
 
@@ -61,8 +62,6 @@ struct PartitionToleranceOptions {
   /// Throttle: at most one delta pull per peer per this interval (a digest
   /// mismatch repeats on every exchange round until the views converge).
   sim::Duration delta_pull_min_gap = sim::Duration::seconds(30);
-  /// Deadline for each targeted delta anti-entropy pull.
-  sim::Duration delta_pull_timeout = sim::Duration::seconds(30);
 };
 
 struct DecisionPointOptions {
@@ -76,9 +75,8 @@ struct DecisionPointOptions {
   double saturation_response_s = 30.0;
   sim::Duration saturation_cooldown = sim::Duration::minutes(2);
   std::optional<NodeId> infrastructure_monitor;
-  /// Deadline for each per-neighbor anti-entropy catch-up call after a
-  /// restart.
-  sim::Duration catchup_timeout = sim::Duration::seconds(30);
+  /// Deadline for each record pull (kDeltaPull), full or targeted.
+  sim::Duration pull_timeout = sim::Duration::seconds(30);
   /// Piggyback this point's container-load hint on outgoing exchanges and
   /// attach known DP loads to query replies (for client-side load-aware
   /// failover). Off by default: legacy messages stay byte-identical.
@@ -153,10 +151,10 @@ class DecisionPoint {
   void crash();
 
   /// Bring a crashed decision point back at the same address: re-bootstrap
-  /// static grid knowledge, restart timers, and run an anti-entropy
-  /// catch-up exchange with every neighbor so dedup state and dispatch
-  /// records re-converge. New own records use a fresh sequence epoch so
-  /// peers never mistake them for pre-crash duplicates.
+  /// static grid knowledge, restart timers, and pull every active record
+  /// from every neighbor so dedup state and dispatch records re-converge.
+  /// New own records use a fresh sequence epoch so peers never mistake
+  /// them for pre-crash duplicates.
   void restart(const std::vector<grid::SiteSnapshot>& snapshots);
 
   [[nodiscard]] bool running() const { return running_; }
@@ -211,13 +209,13 @@ class DecisionPoint {
   [[nodiscard]] std::uint64_t records_duplicate() const { return records_duplicate_; }
   [[nodiscard]] std::uint64_t saturation_signals() const { return saturation_signals_; }
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-  /// Records re-learned from neighbors during post-restart catch-up.
+  /// Records re-learned from neighbors through full pulls (catch-up).
   [[nodiscard]] std::uint64_t resync_records_applied() const { return resync_applied_; }
-  /// Catch-ups triggered by a flooding-round gap (partition/loss rejoin).
+  /// Full pulls triggered by a flooding-round gap (partition/loss rejoin).
   [[nodiscard]] std::uint64_t gap_resyncs() const { return gap_resyncs_; }
-  /// Catch-up requests this point answered for restarted neighbors.
-  [[nodiscard]] std::uint64_t catchups_served() const { return catchups_served_; }
-  /// Records shipped TO this point in kCatchUp replies (duplicates
+  /// Record pulls (full and targeted) this point answered for peers.
+  [[nodiscard]] std::uint64_t pulls_served() const { return pulls_served_; }
+  /// Records shipped TO this point in full-pull replies (duplicates
   /// included): the full-snapshot anti-entropy transfer volume a restart
   /// pays, and the number durable replay + delta pulls exist to shrink.
   [[nodiscard]] std::uint64_t catchup_records_received() const {
@@ -228,17 +226,12 @@ class DecisionPoint {
 
   /// Exchange rounds whose piggybacked digest disagreed with the local view.
   [[nodiscard]] std::uint64_t digest_mismatches() const { return digest_mismatches_; }
-  /// Targeted delta anti-entropy pulls issued / answered.
+  /// Targeted delta anti-entropy pulls issued.
   [[nodiscard]] std::uint64_t delta_pulls_sent() const { return delta_pulls_sent_; }
-  [[nodiscard]] std::uint64_t delta_pulls_served() const { return delta_pulls_served_; }
-  /// Records learned through delta pulls (vs full kCatchUp snapshots).
+  /// Records learned through targeted pulls (vs full pulls).
   [[nodiscard]] std::uint64_t delta_records_applied() const {
     return delta_records_applied_;
   }
-  /// (origin, seq) twins that disagreed on content and had to be resolved.
-  [[nodiscard]] std::uint64_t delta_conflicts() const { return delta_conflicts_; }
-  /// Same logical work admitted by two origins across a split.
-  [[nodiscard]] std::uint64_t double_commits() const { return double_commits_; }
   /// Delta pulls after which the local digest matched the peer's.
   [[nodiscard]] std::uint64_t delta_converged() const { return delta_converged_; }
   /// Queries refused with kNackDegraded (quorum of peers stale).
@@ -345,7 +338,6 @@ class DecisionPoint {
   net::Served handle_get_site_loads(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_report_selection(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_exchange(std::span<const std::uint8_t> body, NodeId from);
-  net::Served handle_catch_up(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_join_snapshot(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_leave(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_delta_pull(std::span<const std::uint8_t> body, NodeId from);
@@ -357,9 +349,23 @@ class DecisionPoint {
   [[nodiscard]] gruber::ViewDigest settled_digest(sim::Time now) const;
   void maybe_delta_pull(const ExchangeMessage& message);
   /// Pull the diverged VO ranges (and base state when `want_bases`) from a
-  /// peer and merge the reply deterministically.
+  /// peer.
   void run_delta_pull(NodeId peer_node, DpId peer, std::uint64_t round,
                       std::vector<VoId> vos, bool want_bases);
+  /// Full re-sync: pull every active record from every neighbor.
+  void run_full_pull();
+  /// Issue one kDeltaPull and apply its reply under `ctx`.
+  void send_pull(NodeId peer_node, const DeltaPullRequest& request,
+                 trace::SpanContext ctx);
+  /// Apply records pulled from a peer (pull replies and join snapshots):
+  /// skip those already in the dedup set, apply, WAL-log and meter the
+  /// rest, then commit the batch once. With `restore` (targeted pulls) a
+  /// known record the view no longer holds is applied again: a newer base
+  /// snapshot erased it, and the digest that asked for it says the peer
+  /// still counts it. Pulled records are not re-flooded: the peer already
+  /// holds them. Returns the number applied.
+  std::uint64_t apply_pulled(const std::vector<gruber::DispatchRecord>& records,
+                             bool restore);
   /// Snapshot of this point's container load for piggybacking.
   [[nodiscard]] DpLoadHint self_hint() const;
   /// Congestion-derived price quote for placements through this point.
@@ -367,8 +373,7 @@ class DecisionPoint {
   /// Grid free fraction from the local view (the karma scarcity signal).
   [[nodiscard]] double free_fraction(sim::Time now) const;
   /// Meter a newly-applied dispatch record against the credit bank (all
-  /// record-apply paths: own selections, flooding, catch-up, delta pulls,
-  /// join snapshots).
+  /// record-apply paths: own selections, flooding, pulls, join snapshots).
   void charge_bank(const gruber::DispatchRecord& record);
   /// Same, metered at an explicit time: recovery replay re-drives charges
   /// with their original apply times so settlement lands in the original
@@ -397,7 +402,6 @@ class DecisionPoint {
   sim::Duration replay_from_disk();
 
   void run_exchange(bool final_flush = false);
-  void run_catch_up();
   void check_saturation();
   void start_timers();
   /// Re-derive the neighbor list from the membership table's live set.
@@ -452,9 +456,9 @@ class DecisionPoint {
   std::unordered_map<DpId, std::unordered_set<std::uint64_t>> applied_;
   /// Last exchange round seen per peer. A jump of more than one means
   /// flooding rounds were lost (partition, loss) — since flooding never
-  /// retransmits, the gap triggers an anti-entropy catch-up.
+  /// retransmits, the gap triggers a full pull.
   std::unordered_map<DpId, std::uint64_t> last_peer_round_;
-  sim::Time last_catch_up_;
+  sim::Time last_full_pull_;
   /// Freshest load hint heard from each peer (keyed by its server node),
   /// attached to query replies when advertise_load is on. Volatile: lost
   /// on crash like the rest of the soft state.
@@ -489,7 +493,7 @@ class DecisionPoint {
   std::uint64_t saturation_signals_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t resync_applied_ = 0;
-  std::uint64_t catchups_served_ = 0;
+  std::uint64_t pulls_served_ = 0;
   std::uint64_t catchup_records_received_ = 0;
   std::uint64_t gap_resyncs_ = 0;
 
@@ -500,10 +504,7 @@ class DecisionPoint {
   std::unordered_map<DpId, sim::Time> last_delta_pull_;
   std::uint64_t digest_mismatches_ = 0;
   std::uint64_t delta_pulls_sent_ = 0;
-  std::uint64_t delta_pulls_served_ = 0;
   std::uint64_t delta_records_applied_ = 0;
-  std::uint64_t delta_conflicts_ = 0;
-  std::uint64_t double_commits_ = 0;
   std::uint64_t delta_converged_ = 0;
   std::uint64_t degraded_refusals_ = 0;
   std::uint64_t degraded_replies_ = 0;
@@ -559,20 +560,10 @@ class DecisionPoint {
   std::unique_ptr<sim::PeriodicTimer> checkpoint_timer_;
 };
 
-/// Overlay topologies connecting decision points (the paper uses a full
-/// mesh; ring and star are provided for the ablation bench).
-enum class Overlay : std::uint8_t { kMesh = 0, kRing, kStar };
-
-/// Compute the neighbor lists for `n` decision points under `overlay`.
-std::vector<std::vector<std::size_t>> overlay_neighbors(std::size_t n, Overlay overlay);
-
-/// Wire a set of decision points together under the given overlay.
-void connect(std::vector<DecisionPoint*> dps, Overlay overlay);
-
-/// Wire a set of decision points under a dissemination strategy: every
-/// point receives the full roster (full-mesh neighbor wiring) and its
-/// strategy derives the actual per-round push set from it. With
-/// `Kind::kMesh` this is exactly `connect(dps, Overlay::kMesh)`.
+/// Wire a set of decision points under a dissemination strategy. With
+/// `Kind::kMesh` every point's neighbors are all the others, in `dps`
+/// order (the paper's full mesh); a sparse strategy gets the full roster
+/// and derives the actual per-round push set from it.
 void connect(std::vector<DecisionPoint*> dps, const overlay::Options& options);
 
 }  // namespace digruber::digruber

@@ -23,10 +23,7 @@ enum Method : std::uint16_t {
   kCreateInstance = 4,
   /// Decision point -> infrastructure monitor: saturation signal (one-way).
   kSaturation = 5,
-  /// Restarted decision point -> neighbor: anti-entropy catch-up. The
-  /// neighbor replies with every dispatch record still active in its view
-  /// so the restarted point's dedup state and utilization re-converge.
-  kCatchUp = 6,
+  // 6 is retired (the old full-snapshot catch-up; now a full kDeltaPull).
   /// Joining decision point -> seed peer: request a bootstrap snapshot
   /// (base site states + recent-dispatch window + load hints + membership
   /// view). Only sent by membership-enabled deployments.
@@ -34,9 +31,10 @@ enum Method : std::uint16_t {
   /// Departing decision point -> peers: graceful leave announcement
   /// (one-way), so the mesh drops it without waiting for suspicion.
   kLeave = 8,
-  /// Decision point -> decision point: targeted delta anti-entropy. After
-  /// a digest mismatch, pull only the diverged VO ranges (and base state
-  /// if its hash differed) instead of a full kCatchUp snapshot.
+  /// Decision point -> decision point: pull dispatch records. After a
+  /// digest mismatch, only the diverged VO ranges (and base state if its
+  /// hash differed); after a restart, join or round gap, every active
+  /// record (the full form, see DeltaPullRequest).
   kDeltaPull = 9,
 };
 
@@ -52,7 +50,6 @@ constexpr net::wire::MsgCategory method_category(std::uint16_t method) {
     case kExchange:
       return net::wire::MsgCategory::kStateExchange;
     case kSaturation:
-    case kCatchUp:
     case kJoinSnapshot:
     case kLeave:
     case kDeltaPull:
@@ -366,28 +363,6 @@ struct CreateInstanceReply {
   }
 };
 
-struct CatchUpRequest {
-  DpId from;
-  /// Restart generation of the requester (diagnostic; lets a neighbor log
-  /// repeated crash loops).
-  std::uint32_t incarnation = 0;
-
-  template <class Archive>
-  void serialize(Archive& ar) {
-    ar & from & incarnation;
-  }
-};
-
-struct CatchUpReply {
-  DpId from;
-  std::vector<gruber::DispatchRecord> records;
-
-  template <class Archive>
-  void serialize(Archive& ar) {
-    ar & from & records;
-  }
-};
-
 /// Joining DP -> seed peer: ask for the bootstrap snapshot. The joiner
 /// identifies itself so the seed can admit it into the membership view
 /// (and start exchanging with it) as a side effect of serving the
@@ -408,7 +383,7 @@ struct JoinSnapshotRequest {
 /// USLA-filtered capacity ground truth), `records` its recent-dispatch
 /// window (every record still active, i.e. not yet aged out), `hints` the
 /// load picture, and `membership` the current view + epoch. The
-/// post-snapshot delta rides the existing kCatchUp anti-entropy path.
+/// post-snapshot delta rides a full kDeltaPull to every neighbor.
 struct JoinSnapshotReply {
   DpId from;
   std::uint64_t exchange_round = 0;  // seed's flooding round (diagnostic)
@@ -436,13 +411,16 @@ struct LeaveAnnouncement {
   }
 };
 
-/// Digest-mismatch follow-up: pull exactly the diverged state. `vos` is
-/// the ascending list of VOs whose digests disagreed; `want_bases` is set
-/// when the base-state hash differed too. Contrast with kCatchUp, which
-/// transfers every active record regardless of what actually diverged.
+/// Record pull. The targeted form follows a digest mismatch and pulls
+/// exactly the diverged state: `vos` is the ascending list of VOs whose
+/// digests disagreed, and `want_bases` is set when the base-state hash
+/// differed too. The full form (`vos` empty, `want_bases` false) asks for
+/// every active record: the re-sync after a restart, a join or a lost
+/// flooding round.
 struct DeltaPullRequest {
   DpId from;
-  /// Exchange round whose digest exposed the divergence (diagnostic).
+  /// Exchange round whose digest exposed the divergence, or the puller's
+  /// own round for a full pull (diagnostic).
   std::uint64_t digest_round = 0;
   std::vector<VoId> vos;
   bool want_bases = false;
@@ -451,16 +429,21 @@ struct DeltaPullRequest {
   void serialize(Archive& ar) {
     ar & from & digest_round & vos & want_bases;
   }
+
+  /// True for the full form: every active record.
+  [[nodiscard]] bool full() const { return vos.empty() && !want_bases; }
 };
 
 struct DeltaPullReply {
   DpId from;
-  /// Active records in the requested VOs only.
+  /// Active records in the requested VOs (every active record for a full
+  /// pull).
   std::vector<gruber::DispatchRecord> records;
   /// Base snapshots, present only when the request set `want_bases`.
   std::vector<grid::SiteSnapshot> bases;
   /// The replier's digest at serve time, letting the puller verify
-  /// convergence without waiting for the next exchange round.
+  /// convergence without waiting for the next exchange round (empty for a
+  /// full pull, which no digest asked for).
   gruber::ViewDigest digest;
 
   template <class Archive>

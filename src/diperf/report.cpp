@@ -78,7 +78,7 @@ void render_resilience(std::ostream& os,
   table.add_row(
       {"re-sync records applied", Table::num(double(counters.resync_records), 0)});
   table.add_row(
-      {"catch-ups served", Table::num(double(counters.catchups_served), 0)});
+      {"pulls served", Table::num(double(counters.pulls_served), 0)});
   table.add_row(
       {"round-gap re-syncs", Table::num(double(counters.gap_resyncs), 0)});
   table.add_row({"drops: loss", Table::num(double(counters.drops_loss), 0)});

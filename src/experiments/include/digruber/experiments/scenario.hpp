@@ -27,14 +27,12 @@ struct ScenarioConfig {
   net::ContainerProfile profile = net::ContainerProfile::gt3();
   sim::Duration exchange_interval = sim::Duration::minutes(3);
   digruber::Dissemination dissemination = digruber::Dissemination::kUsageOnly;
-  digruber::Overlay overlay = digruber::Overlay::kMesh;
   /// Dissemination overlay strategy (mesh | tree | gossip | superpeer)
-  /// with its knobs. The default mesh leaves every run byte-identical;
-  /// a sparse strategy keeps the full-mesh `overlay` wiring above (the
-  /// roster every strategy derives structure from) and narrows the
-  /// per-round push set inside each decision point. A zero seed derives
-  /// the gossip stream from `seed` arithmetically — no rng draws, so
-  /// same-seed runs replay bit-identically.
+  /// with its knobs. The default mesh floods to every peer; a sparse
+  /// strategy gets the full roster and narrows the per-round push set
+  /// inside each decision point. A zero seed derives the gossip stream
+  /// from `seed` arithmetically — no rng draws, so same-seed runs replay
+  /// bit-identically.
   overlay::Options overlay_options{};
   /// Observer-only I13 audit (chaos --overlay): harvest per-point applied
   /// record keys and own-record acceptance logs into DpStats.
@@ -164,7 +162,7 @@ struct DpStats {
   std::uint64_t refused = 0;
   std::uint64_t restarts = 0;
   std::uint64_t resync_records = 0;
-  std::uint64_t catchups_served = 0;
+  std::uint64_t pulls_served = 0;  // full and targeted
   std::uint64_t catchup_records_received = 0;
   double container_utilization = 0.0;
   double mean_sojourn_s = 0.0;
@@ -195,10 +193,7 @@ struct DpStats {
   // Partition tolerance (defaults with partition_tolerance off).
   std::uint64_t digest_mismatches = 0;
   std::uint64_t delta_pulls_sent = 0;
-  std::uint64_t delta_pulls_served = 0;
   std::uint64_t delta_records_applied = 0;
-  std::uint64_t delta_conflicts = 0;
-  std::uint64_t double_commits = 0;
   std::uint64_t delta_converged = 0;
   std::uint64_t degraded_refusals = 0;
   std::uint64_t degraded_replies = 0;

@@ -268,13 +268,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     std::vector<digruber::DecisionPoint*> raw;
     raw.reserve(dps.size());
     for (auto& dp : dps) raw.push_back(dp.get());
-    if (config.overlay_options.kind != overlay::Kind::kMesh) {
-      // Sparse strategies need the full roster (id + node per peer) so
-      // every point derives the same tree / super-peer structure.
-      digruber::connect(std::move(raw), dp_options.overlay);
-    } else {
-      digruber::connect(std::move(raw), config.overlay);
-    }
+    digruber::connect(std::move(raw), dp_options.overlay);
   };
   auto add_dp = [&] {
     if (dp_options.durability.enabled) {
@@ -680,7 +674,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     stats.refused = dp->server().container().refused();
     stats.restarts = dp->restarts();
     stats.resync_records = dp->resync_records_applied();
-    stats.catchups_served = dp->catchups_served();
+    stats.pulls_served = dp->pulls_served();
     stats.catchup_records_received = dp->catchup_records_received();
     stats.container_utilization =
         dp->server().container().utilization(sim::Time::zero() + config.duration);
@@ -711,10 +705,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
     stats.digest_mismatches = dp->digest_mismatches();
     stats.delta_pulls_sent = dp->delta_pulls_sent();
-    stats.delta_pulls_served = dp->delta_pulls_served();
     stats.delta_records_applied = dp->delta_records_applied();
-    stats.delta_conflicts = dp->delta_conflicts();
-    stats.double_commits = dp->double_commits();
     stats.delta_converged = dp->delta_converged();
     stats.degraded_refusals = dp->degraded_refusals();
     stats.degraded_replies = dp->degraded_replies();
@@ -825,7 +816,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     for (const auto& dp : dps) {
       res.dp_restarts += dp->restarts();
       res.resync_records += dp->resync_records_applied();
-      res.catchups_served += dp->catchups_served();
+      res.pulls_served += dp->pulls_served();
       res.gap_resyncs += dp->gap_resyncs();
     }
     res.drops_loss = transport.packets_dropped(net::DropCause::kLoss);
@@ -922,10 +913,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     for (const DpStats& stats : result.dps) {
       pt.digest_mismatches += stats.digest_mismatches;
       pt.delta_pulls_sent += stats.delta_pulls_sent;
-      pt.delta_pulls_served += stats.delta_pulls_served;
       pt.delta_records_applied += stats.delta_records_applied;
-      pt.delta_conflicts += stats.delta_conflicts;
-      pt.double_commits += stats.double_commits;
       pt.delta_converged += stats.delta_converged;
       pt.degraded_refusals += stats.degraded_refusals;
       pt.degraded_replies += stats.degraded_replies;

@@ -179,6 +179,10 @@ class GridView {
   [[nodiscard]] std::vector<DispatchRecord> records_for_vos(
       const std::vector<VoId>& vos, sim::Time now) const;
 
+  /// Whether the view still holds the record's (origin, seq) at its site
+  /// (no pruning; scans that one site only).
+  [[nodiscard]] bool holds(const DispatchRecord& record) const;
+
   /// Outcome of merging one remote record during anti-entropy.
   struct MergeResult {
     bool applied = false;        // the record now lives in this view

@@ -205,6 +205,15 @@ std::vector<DispatchRecord> GridView::records_for_vos(
   return out;
 }
 
+bool GridView::holds(const DispatchRecord& record) const {
+  const SiteState* state = find(record.site);
+  if (!state) return false;
+  return std::any_of(state->active.begin(), state->active.end(),
+                     [&](const DispatchRecord& r) {
+                       return r.origin == record.origin && r.seq == record.seq;
+                     });
+}
+
 GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
                                              sim::Time now) {
   MergeResult out;

@@ -109,9 +109,9 @@ struct ResilienceCounters {
 
   // Decision points.
   std::uint64_t dp_restarts = 0;
-  std::uint64_t resync_records = 0;     // records re-learned via catch-up
-  std::uint64_t catchups_served = 0;
-  std::uint64_t gap_resyncs = 0;        // catch-ups from flooding-round gaps
+  std::uint64_t resync_records = 0;     // records re-learned via full pulls
+  std::uint64_t pulls_served = 0;       // record pulls answered, full + targeted
+  std::uint64_t gap_resyncs = 0;        // full pulls from flooding-round gaps
 
   // Transport (SimTransport drop accounting by cause).
   std::uint64_t drops_loss = 0;
@@ -181,10 +181,7 @@ struct PartitionCounters {
   // Split-brain detection and delta anti-entropy (decision points).
   std::uint64_t digest_mismatches = 0;     // exchange digests that disagreed
   std::uint64_t delta_pulls_sent = 0;      // targeted pulls issued
-  std::uint64_t delta_pulls_served = 0;    // targeted pulls answered
   std::uint64_t delta_records_applied = 0; // records learned via pulls
-  std::uint64_t delta_conflicts = 0;       // (origin, seq) twins resolved
-  std::uint64_t double_commits = 0;        // split-brain double admissions
   std::uint64_t delta_converged = 0;       // pulls that fully reconciled
 
   // Staleness-guarded admission.

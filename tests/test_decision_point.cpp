@@ -126,7 +126,7 @@ TEST(DecisionPoint, ExchangePropagatesDispatchRecords) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b}, overlay::Options{});
 
   ReportSelectionRequest report;
   report.site = SiteId(1);
@@ -169,7 +169,7 @@ TEST(DecisionPoint, ExchangeRoundEncodesOnceRegardlessOfPeerCount) {
     dps.back()->bootstrap(f.snapshots());
     raw.push_back(dps.back().get());
   }
-  connect(raw, Overlay::kMesh);
+  connect(raw, overlay::Options{});
 
   const net::wire::WireStats& stats = net::wire::wire_stats();
   const std::uint64_t encodes_before =
@@ -200,7 +200,7 @@ TEST(DecisionPoint, FloodingDedupsAcrossMesh) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   DecisionPoint c(f.sim, f.transport, DpId(2), f.catalog, f.tree, options);
   for (DecisionPoint* dp : {&a, &b, &c}) dp->bootstrap(f.snapshots());
-  connect({&a, &b, &c}, Overlay::kMesh);
+  connect({&a, &b, &c}, overlay::Options{});
 
   ReportSelectionRequest report;
   report.site = SiteId(0);
@@ -224,38 +224,6 @@ TEST(DecisionPoint, FloodingDedupsAcrossMesh) {
   for (DecisionPoint* dp : {&a, &b, &c}) dp->stop();
 }
 
-TEST(DecisionPoint, RingOverlayRelaysAcrossHops) {
-  Fixture f;
-  DecisionPointOptions options = f.options();
-  std::vector<std::unique_ptr<DecisionPoint>> dps;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    dps.push_back(std::make_unique<DecisionPoint>(f.sim, f.transport, DpId(i),
-                                                  f.catalog, f.tree, options));
-    dps.back()->bootstrap(f.snapshots());
-  }
-  connect({dps[0].get(), dps[1].get(), dps[2].get(), dps[3].get()}, Overlay::kRing);
-
-  ReportSelectionRequest report;
-  report.site = SiteId(2);
-  report.vo = VoId(0);
-  report.group = GroupId(0);
-  report.user = UserId(0);
-  report.cpus = 30;
-  report.est_runtime = sim::Duration::minutes(60);
-  f.rpc.call<ReportSelectionRequest, Ack>(dps[0]->node(), kReportSelection, report,
-                                          sim::Duration::seconds(30),
-                                          [](Result<Ack>) {});
-
-  // dp2 is two hops from dp0 on the ring: needs two exchange rounds.
-  f.sim.run_until(sim::Time::from_seconds(70));
-  EXPECT_EQ(dps[1]->records_applied(), 1u);
-  EXPECT_EQ(dps[3]->records_applied(), 1u);
-  EXPECT_EQ(dps[2]->records_applied(), 0u);
-  f.sim.run_until(sim::Time::from_seconds(130));
-  EXPECT_EQ(dps[2]->records_applied(), 1u);
-  for (auto& dp : dps) dp->stop();
-}
-
 TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
   Fixture f;
   DecisionPointOptions options = f.options();
@@ -264,7 +232,7 @@ TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b}, overlay::Options{});
 
   ReportSelectionRequest report;
   report.site = SiteId(0);
@@ -281,25 +249,6 @@ TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
   EXPECT_EQ(b.records_applied(), 0u);
   a.stop();
   b.stop();
-}
-
-TEST(DecisionPoint, OverlayNeighborSets) {
-  const auto mesh = overlay_neighbors(4, Overlay::kMesh);
-  EXPECT_EQ(mesh[0].size(), 3u);
-  EXPECT_EQ(mesh[3].size(), 3u);
-
-  const auto ring = overlay_neighbors(5, Overlay::kRing);
-  EXPECT_EQ(ring[0], (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(ring[2], (std::vector<std::size_t>{3, 1}));
-
-  const auto ring2 = overlay_neighbors(2, Overlay::kRing);
-  EXPECT_EQ(ring2[0], (std::vector<std::size_t>{1}));
-
-  const auto star = overlay_neighbors(4, Overlay::kStar);
-  EXPECT_EQ(star[0].size(), 3u);
-  EXPECT_EQ(star[1], (std::vector<std::size_t>{0}));
-
-  EXPECT_TRUE(overlay_neighbors(1, Overlay::kMesh)[0].empty());
 }
 
 TEST(DecisionPoint, SaturationSignalsReachMonitor) {

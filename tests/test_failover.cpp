@@ -81,7 +81,7 @@ TEST(Failover, CrashedPrimaryFailsOverToBackupWithinDeadline) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b}, overlay::Options{});
 
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(5);
@@ -166,7 +166,7 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b}, overlay::Options{});
 
   net::RpcClient rpc(f.sim, f.transport);
   ReportSelectionRequest report;
@@ -185,7 +185,7 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
   ASSERT_EQ(b.records_applied(), 1u);
 
   // Crash wipes a's volatile state; restart re-bootstraps and re-learns
-  // the still-active record from b via the catch-up exchange.
+  // the still-active record from b through a full kDeltaPull.
   f.sim.schedule_at(sim::Time::from_seconds(100), [&] { a.crash(); });
   f.sim.schedule_at(sim::Time::from_seconds(110), [&] { a.restart(f.snapshots()); });
   f.sim.run_until(sim::Time::from_seconds(140));
@@ -193,7 +193,7 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
   EXPECT_EQ(a.restarts(), 1u);
   EXPECT_EQ(a.incarnation(), 1u);
   EXPECT_EQ(a.resync_records_applied(), 1u);
-  EXPECT_GE(b.catchups_served(), 1u);
+  EXPECT_GE(b.pulls_served(), 1u);
   EXPECT_EQ(a.engine().view().estimated_free(SiteId(0), f.sim.now()), 60);
 
   // Post-restart selections use a fresh sequence epoch, so b applies them
@@ -210,13 +210,71 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
   b.stop();
 }
 
+TEST(Failover, MeshDpAnswersFullPullAfterPeerRestart) {
+  // Partition tolerance off, full mesh: no digests ride the exchanges, so
+  // a restarted point re-syncs with the full form of kDeltaPull (no VOs,
+  // no bases) and its neighbor answers with every active record.
+  Fixture f;
+  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, f.dp_options());
+  DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
+  a.bootstrap(f.snapshots());
+  b.bootstrap(f.snapshots());
+  connect({&a, &b}, overlay::Options{});
+
+  net::RpcClient rpc(f.sim, f.transport);
+  for (const std::int32_t cpus : {20, 15}) {
+    ReportSelectionRequest report;
+    report.site = SiteId(0);
+    report.vo = VoId(0);
+    report.group = GroupId(0);
+    report.user = UserId(0);
+    report.cpus = cpus;
+    report.est_runtime = sim::Duration::minutes(60);
+    rpc.call<ReportSelectionRequest, Ack>(b.node(), kReportSelection, report,
+                                          sim::Duration::seconds(30),
+                                          [](Result<Ack>) {});
+  }
+  f.sim.schedule_at(sim::Time::from_seconds(30), [&] { a.crash(); });
+  f.sim.schedule_at(sim::Time::from_seconds(40), [&] { a.restart(f.snapshots()); });
+  f.sim.run_until(sim::Time::from_seconds(50));
+
+  // The restart pulled b's two records as a full pull, not a targeted one.
+  EXPECT_EQ(b.pulls_served(), 1u);
+  EXPECT_EQ(a.delta_pulls_sent(), 0u);
+  EXPECT_EQ(a.catchup_records_received(), 2u);
+  EXPECT_EQ(a.resync_records_applied(), 2u);
+  EXPECT_EQ(a.engine().view().estimated_free(SiteId(0), f.sim.now()), 65);
+
+  // On the wire: the full form returns every active record, no bases and
+  // no digest (nothing was compared).
+  DeltaPullRequest full;
+  full.from = DpId(7);
+  ASSERT_TRUE(full.full());
+  bool replied = false;
+  rpc.call<DeltaPullRequest, DeltaPullReply>(
+      b.node(), kDeltaPull, full, sim::Duration::seconds(30),
+      [&](Result<DeltaPullReply> result) {
+        ASSERT_TRUE(result.ok());
+        replied = true;
+        EXPECT_EQ(result.value().from, DpId(1));
+        EXPECT_EQ(result.value().records.size(), 2u);
+        EXPECT_TRUE(result.value().bases.empty());
+        EXPECT_TRUE(result.value().digest.vos.empty());
+      });
+  f.sim.run_until(sim::Time::from_seconds(60));
+  EXPECT_TRUE(replied);
+  EXPECT_EQ(b.pulls_served(), 2u);
+  a.stop();
+  b.stop();
+}
+
 TEST(Failover, PartitionDropsExchangeTrafficUntilHealed) {
   Fixture f;
   DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, f.dp_options());
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b}, overlay::Options{});
 
   net::RpcClient rpc(f.sim, f.transport);
   ReportSelectionRequest report;
@@ -258,13 +316,13 @@ TEST(Failover, PartitionDropsExchangeTrafficUntilHealed) {
 }
 
 TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
-  // After a heal the SAME exchange frame triggers both repair paths at
-  // once: the round gap fires a full kCatchUp fan-out while the
-  // piggybacked digest mismatch fires a targeted delta pull. Both replies
-  // carry overlapping record sets; the flooding dedup set plus the
-  // idempotent merge must land every split-era record exactly once on
-  // each side — applying one twice would double-subtract its CPUs,
-  // losing one would leave the views diverged forever.
+  // After a heal the SAME exchange frame triggers both forms of kDeltaPull
+  // at once: the round gap fires a full pull to every neighbor while the
+  // piggybacked digest mismatch fires a targeted one. Both replies carry
+  // overlapping record sets; the one apply routine's dedup set must land
+  // every split-era record exactly once on each side — applying one twice
+  // would double-subtract its CPUs, losing one would leave the views
+  // diverged forever.
   Fixture f;
   auto dp_opts = f.dp_options();
   dp_opts.partition.enabled = true;
@@ -273,7 +331,7 @@ TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b}, overlay::Options{});
 
   net::RpcClient rpc_a(f.sim, f.transport);
   net::RpcClient rpc_b(f.sim, f.transport);
@@ -313,9 +371,10 @@ TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
   // paths, and let the split-era records settle into the digest window.
   f.sim.run_until(sim::Time::from_seconds(600));
 
-  // The race actually happened: a round gap fired a catch-up somewhere,
+  // The race actually happened: a round gap fired a full pull somewhere,
   // and at least one digest mismatch fired a targeted pull.
   EXPECT_GE(a.gap_resyncs() + b.gap_resyncs(), 1u);
+  EXPECT_GE(a.catchup_records_received() + b.catchup_records_received(), 1u);
   EXPECT_GE(a.digest_mismatches() + b.digest_mismatches(), 1u);
   EXPECT_GE(a.delta_pulls_sent() + b.delta_pulls_sent(), 1u);
 
@@ -336,6 +395,55 @@ TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
   b.stop();
 }
 
+TEST(Failover, TargetedPullRestoresRecordErasedByNewerBase) {
+  // b restarts with fresher base snapshots and re-learns a's record by a
+  // full pull. a then adopts b's newer bases through a targeted pull,
+  // which erases the record from a's view (a snapshot reflects the
+  // dispatches before it), while b still counts it. The record is in a's
+  // dedup set, so only the targeted pull's restore puts it back; without
+  // it the two digests never agree again.
+  Fixture f;
+  auto dp_opts = f.dp_options();
+  dp_opts.partition.enabled = true;
+  dp_opts.partition.delta_pull_min_gap = sim::Duration::seconds(5);
+  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, dp_opts);
+  DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
+  a.bootstrap(f.snapshots());
+  b.bootstrap(f.snapshots());
+  connect({&a, &b}, overlay::Options{});
+
+  net::RpcClient rpc(f.sim, f.transport);
+  ReportSelectionRequest report;
+  report.site = SiteId(0);
+  report.vo = VoId(0);
+  report.group = GroupId(0);
+  report.user = UserId(0);
+  report.cpus = 40;
+  report.est_runtime = sim::Duration::minutes(180);
+  rpc.call<ReportSelectionRequest, Ack>(a.node(), kReportSelection, report,
+                                        sim::Duration::seconds(30),
+                                        [](Result<Ack>) {});
+  f.sim.schedule_at(sim::Time::from_seconds(100), [&] { b.crash(); });
+  f.sim.schedule_at(sim::Time::from_seconds(110), [&] {
+    auto fresher = f.snapshots();
+    for (grid::SiteSnapshot& s : fresher) s.as_of = f.sim.now();
+    b.restart(fresher);
+  });
+  f.sim.run_until(sim::Time::from_seconds(900));
+
+  EXPECT_GE(a.delta_pulls_sent(), 1u);
+  const sim::Time now = f.sim.now();
+  EXPECT_EQ(a.engine().view().estimated_free(SiteId(0), now),
+            b.engine().view().estimated_free(SiteId(0), now));
+  const auto da = a.engine().view().digest(sim::Time::from_seconds(800),
+                                           sim::Time::from_seconds(805));
+  const auto db = b.engine().view().digest(sim::Time::from_seconds(800),
+                                           sim::Time::from_seconds(805));
+  EXPECT_TRUE(da == db);
+  a.stop();
+  b.stop();
+}
+
 TEST(Failover, DegradedNackRedirectsWithoutQuarantine) {
   // Regression: a level-2 degraded NACK (quorum stale behind a partition)
   // used to be treated like a draining NACK and quarantined the decision
@@ -350,7 +458,7 @@ TEST(Failover, DegradedNackRedirectsWithoutQuarantine) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b}, overlay::Options{});
 
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(5);

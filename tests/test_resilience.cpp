@@ -77,7 +77,7 @@ TEST(Resilience, FaultsActuallyPerturbTheRun) {
   EXPECT_EQ(faulted.dps[0].restarts, 1u);
   // The restarted point re-learned state from its two mesh neighbors.
   EXPECT_GT(faulted.resilience.resync_records, 0u);
-  EXPECT_GT(faulted.resilience.catchups_served, 0u);
+  EXPECT_GT(faulted.resilience.pulls_served, 0u);
   // The partition and the crash both dropped packets, by distinct causes.
   EXPECT_GT(faulted.resilience.drops_partition, 0u);
   EXPECT_GT(faulted.resilience.drops_unknown_destination, 0u);

@@ -210,6 +210,20 @@ TEST(ViewDigest, BaseStateDivergenceIsDetected) {
                   .empty());
 }
 
+TEST(GridView, HoldsMatchesOriginAndSeqUntilANewerSnapshotErases) {
+  GridView view;
+  view.bootstrap({snapshot(0, 100, 100), snapshot(1, 100, 100)});
+  const DispatchRecord r = origin_record(2, 7, 0, 4, 10, 3600);
+  EXPECT_FALSE(view.holds(r));
+  view.record_dispatch(r);
+  EXPECT_TRUE(view.holds(r));
+  EXPECT_FALSE(view.holds(origin_record(2, 8, 0, 4, 10, 3600)));
+  EXPECT_FALSE(view.holds(origin_record(3, 7, 0, 4, 10, 3600)));
+  // A snapshot taken after the dispatch already reflects it.
+  view.apply_snapshot(snapshot(0, 100, 96, /*as_of=*/50));
+  EXPECT_FALSE(view.holds(r));
+}
+
 TEST(GridViewMerge, DuplicateIsDroppedConflictResolvedBySeverity) {
   const sim::Time now = sim::Time::from_seconds(100);
   GridView view;

@@ -238,16 +238,18 @@ std::vector<CorpusEntry> corpus() {
   out.push_back(entry("CreateInstanceReply", Method::kCreateInstance,
                       FrameKind::kReply, created));
 
-  proto::CatchUpRequest catch_up;
-  catch_up.from = DpId(2);
-  catch_up.incarnation = 3;
-  out.push_back(entry("CatchUpRequest", Method::kCatchUp, FrameKind::kRequest,
-                      catch_up));
-  proto::CatchUpReply catch_up_reply;
-  catch_up_reply.from = DpId(1);
-  catch_up_reply.records = make_exchange(false).dispatches;
-  out.push_back(entry("CatchUpReply", Method::kCatchUp, FrameKind::kReply,
-                      catch_up_reply));
+  // The full form of a record pull: no VOs, no bases = every active
+  // record (restart / join / round-gap re-sync).
+  proto::DeltaPullRequest full_pull;
+  full_pull.from = DpId(2);
+  full_pull.digest_round = 3;
+  out.push_back(entry("DeltaPullRequest.full", Method::kDeltaPull,
+                      FrameKind::kRequest, full_pull));
+  proto::DeltaPullReply full_pull_reply;
+  full_pull_reply.from = DpId(1);
+  full_pull_reply.records = make_exchange(false).dispatches;
+  out.push_back(entry("DeltaPullReply.full", Method::kDeltaPull,
+                      FrameKind::kReply, full_pull_reply));
 
   proto::SaturationSignal saturation;
   saturation.from = DpId(4);

@@ -118,7 +118,6 @@ struct SeedReport {
   std::uint64_t deaths = 0;
   std::uint64_t mismatches = 0;
   std::uint64_t pulls = 0;
-  std::uint64_t double_commits = 0;
   std::uint64_t epochs = 0;
   std::uint64_t denials = 0;
   std::uint64_t recoveries = 0;
@@ -407,7 +406,6 @@ SeedReport run_seed(std::uint64_t seed, bool quick, bool verbose, bool churn,
   if (partition) {
     report.mismatches = result.partition.digest_mismatches;
     report.pulls = result.partition.delta_pulls_sent;
-    report.double_commits = result.partition.double_commits;
 
     // I6: bounded convergence. Find when the last disruptive condition
     // ended (heal / restore / restart / corruption off); K exchange rounds
@@ -703,7 +701,6 @@ int main(int argc, char** argv) {
   if (partition) {
     header.push_back("mismatch");
     header.push_back("pulls");
-    header.push_back("dblcommit");
   }
   if (economy) {
     header.push_back("epochs");
@@ -737,7 +734,6 @@ int main(int argc, char** argv) {
     if (partition) {
       row.push_back(std::to_string(report.mismatches));
       row.push_back(std::to_string(report.pulls));
-      row.push_back(std::to_string(report.double_commits));
     }
     if (economy) {
       row.push_back(std::to_string(report.epochs));

@@ -158,8 +158,7 @@ int main(int argc, char** argv) {
     std::cout << "partition: " << r.partition.digest_mismatches
               << " digest mismatch(es), " << r.partition.delta_pulls_sent
               << " delta pull(s) moving " << r.partition.delta_records_applied
-              << " record(s), " << r.partition.double_commits
-              << " double commit(s), " << r.partition.degraded_refusals
+              << " record(s), " << r.partition.degraded_refusals
               << " degraded refusal(s), " << r.partition.frames_bad_checksum
               << "/" << r.partition.packets_corrupted
               << " corrupt frame(s) caught\n";
