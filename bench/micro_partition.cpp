@@ -1,6 +1,6 @@
 // Micro-benchmarks for the partition-tolerance hot paths: the settled-
 // window view digest rides on EVERY exchange round and site-loads reply,
-// divergence targeting and record merges run on every anti-entropy pull,
+// divergence targeting and the reply's record scan run on every pull,
 // and the CRC-32C trailer is paid per frame once checksums are on — so
 // their costs bound how cheap "partition tolerance enabled" can be.
 #include <benchmark/benchmark.h>
@@ -90,25 +90,6 @@ void BM_DivergedVos(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DivergedVos)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_DeltaMergeDuplicate(benchmark::State& state) {
-  // Steady-state anti-entropy cost: most pulled records are already held,
-  // so the common merge outcome is the content-dedup drop.
-  const std::size_t n = std::size_t(state.range(0));
-  gruber::GridView view = make_view(n, 7);
-  Rng rng(7);
-  std::vector<gruber::DispatchRecord> records;
-  for (std::size_t i = 0; i < n; ++i) records.push_back(make_record(rng, i));
-  const sim::Time now = sim::Time::from_seconds(650.0);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto merged = view.merge_record(records[i], now);
-    benchmark::DoNotOptimize(merged.applied);
-    i = (i + 1) % records.size();
-  }
-  state.counters["records"] = double(n);
-}
-BENCHMARK(BM_DeltaMergeDuplicate)->Arg(100)->Arg(1000);
 
 void BM_RecordsForVos(benchmark::State& state) {
   // The delta-pull serve path: collect the records of the diverged VOs.

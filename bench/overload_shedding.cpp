@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
   table.render(std::cout);
   std::cout << "\n";
 
-  diperf::render_overload(std::cout, knee_shed.overload);
-  diperf::render_wire(std::cout, diperf::snapshot_wire_counters());
+  diperf::render_counters(std::cout, "overload counters", knee_shed.overload);
+  diperf::render_wire(std::cout, net::wire::wire_stats());
 
   // Verdict at the deepest point past the knee (the largest fleet).
   const bool goodput_up = knee_shed.goodput_qps >= knee_noshed.goodput_qps;

@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
 
   diperf::render_latency_percentiles(std::cout, r.handled, r.not_handled, r.all);
 
-  diperf::render_resilience(std::cout, r.resilience);
+  diperf::render_counters(std::cout, "resilience counters", r.resilience);
 
   bench::save_trace(args, tracer.get(), std::cout);
 
@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
             << (joined ? "yes" : "NO") << ", rebalanced to fair query share: "
             << (rebalance_s >= 0 ? "yes" : "NO") << "\n\n";
 
-  diperf::render_membership(std::cout, m.membership);
+  diperf::render_counters(std::cout, "membership counters", m.membership);
 
   std::cout << "Expected shape: with failover, availability stays at the\n"
                "fault-free control level through the dp0 outage (backups\n"

@@ -128,7 +128,7 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
           // refusal exists to contain.
           if (options_.partition.enabled && method != kReportSelection &&
               degraded_hint(sim_.now()).level >= 2) {
-            ++degraded_refusals_;
+            ++counters_.degraded_refusals;
             nack.reason = net::kNackDegraded;
             nack.retry_after_us = options_.exchange_interval.us() / 2;
             return true;
@@ -173,11 +173,11 @@ void DecisionPoint::rebuild_strategy(bool initial) {
     }
   }
   if (initial || !changed) return;
-  ++overlay_rebuilds_;
+  ++counters_.rebuilds;
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "overlay.rebuild", {},
                std::int64_t(overlay_peers_.size()),
-               std::int64_t(overlay_rebuilds_));
+               std::int64_t(counters_.rebuilds));
   }
 }
 
@@ -245,11 +245,11 @@ void DecisionPoint::try_join() {
           // Transfer failed (seed crashed, partitioned, or itself not
           // serving): abort cleanly — no partial state was applied — and
           // rotate to the next seed after a backoff.
-          ++join_retries_;
+          ++counters_.join_snapshot_retries;
           if (auto* t = trace::current()) {
             t->instant(trace::Category::kDp, id_.value(),
                        "membership.join_retry", jctx,
-                       std::int64_t(join_retries_));
+                       std::int64_t(counters_.join_snapshot_retries));
           }
           sim_.schedule_after(
               options_.membership.join_retry_backoff, [this, incarnation] {
@@ -266,7 +266,7 @@ void DecisionPoint::try_join() {
         for (const grid::SiteSnapshot& base : reply.bases) {
           engine_.view().apply_snapshot(base);
         }
-        join_snapshot_records_ += apply_pulled(reply.records, false);
+        counters_.join_snapshot_records += apply_pulled(reply.records, false);
         for (const DpLoadHint& hint : reply.hints) {
           if (hint.node != server_.node().value()) {
             peer_hints_[hint.node] = hint;
@@ -282,11 +282,11 @@ void DecisionPoint::try_join() {
         membership_->adopt_current_as_seeds();
         if (auto* t = trace::current()) {
           t->end(trace::Category::kDp, id_.value(), "membership.join_snapshot",
-                 jctx, std::int64_t(join_snapshot_records_),
-                 std::int64_t(join_retries_));
+                 jctx, std::int64_t(counters_.join_snapshot_records),
+                 std::int64_t(counters_.join_snapshot_retries));
           t->instant(trace::Category::kDp, id_.value(),
                      "membership.join_complete", jctx,
-                     std::int64_t(join_snapshot_records_),
+                     std::int64_t(counters_.join_snapshot_records),
                      std::int64_t((sim_.now() - join_started_).us()));
         }
         // Announce: the first exchange carries this point's alive entry,
@@ -296,8 +296,8 @@ void DecisionPoint::try_join() {
         // discard whatever overlaps the snapshot window.
         run_full_pull();
         log::info("digruber", "dp ", id_.value(), " joined via snapshot (",
-                  join_snapshot_records_, " records, ", join_retries_,
-                  " retries)");
+                  counters_.join_snapshot_records, " records, ",
+                  counters_.join_snapshot_retries, " retries)");
       });
 }
 
@@ -335,7 +335,7 @@ net::Served DecisionPoint::handle_join_snapshot(
   // its first exchange once it is actually able to serve, so clients
   // never learn (and route to) a still-bootstrapping point.
   if (!membership_ || !serving_) return {};
-  ++snapshots_served_;
+  ++counters_.snapshots_served;
 
   JoinSnapshotReply reply;
   reply.from = id_;
@@ -456,7 +456,7 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
   // derives the bump from the persisted floor inside the replay below (the
   // in-memory value would have died with the process in a real deployment).
   if (!disk_) ++incarnation_;
-  ++restarts_;
+  ++counters_.restarts;
   const bool server_up = server_.restart();
   const bool client_up = peer_client_.restart();
   if (!server_up || !client_up) {
@@ -481,7 +481,7 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
     trace::ContextGuard rguard(rctx);
     replay_cost = replay_from_disk();
     ++incarnation_;
-    ++recoveries_;
+    ++counters_.recoveries;
     last_recovery_cost_ = replay_cost;
     // Persist the bump (with a barrier) so the *next* recovery starts
     // higher still, even if no checkpoint intervenes.
@@ -525,7 +525,8 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
       start_timers();
       if (auto* t = trace::current()) {
         t->end(trace::Category::kDp, id_.value(), "dp.recover.replay", rctx,
-               std::int64_t(replay_records_), std::int64_t(replay_frames_));
+               std::int64_t(counters_.replay_records),
+               std::int64_t(counters_.replay_frames));
         t->instant(trace::Category::kDp, id_.value(), "dp.restart", rctx,
                    std::int64_t(incarnation_));
       }
@@ -536,7 +537,7 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
       // fall back to a full pull.
       if (!options_.partition.enabled) run_full_pull();
       log::info("digruber", "dp ", id_.value(), " recovered (incarnation ",
-                incarnation_, ", ", replay_records_, " records replayed)");
+                incarnation_, ", ", counters_.replay_records, " records replayed)");
     });
     return;
   }
@@ -572,7 +573,7 @@ void DecisionPoint::maybe_delta_pull(const ExchangeMessage& message) {
   const gruber::ViewDigest local =
       engine_.view().digest(message.digest.as_of, message.digest.horizon);
   if (local == message.digest) return;
-  ++digest_mismatches_;
+  ++counters_.digest_mismatches;
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "dp.digest_mismatch",
                t->ambient(), std::int64_t(message.from.value()),
@@ -600,7 +601,7 @@ void DecisionPoint::maybe_delta_pull(const ExchangeMessage& message) {
 void DecisionPoint::run_delta_pull(NodeId peer_node, DpId peer,
                                    std::uint64_t round, std::vector<VoId> vos,
                                    bool want_bases) {
-  ++delta_pulls_sent_;
+  ++counters_.delta_pulls_sent;
   DeltaPullRequest request;
   request.from = id_;
   request.digest_round = round;
@@ -654,21 +655,21 @@ void DecisionPoint::send_pull(NodeId peer_node, const DeltaPullRequest& request,
         const std::uint64_t applied = apply_pulled(reply.records, !full);
         const auto shipped = std::int64_t(reply.records.size());
         if (full) {
-          catchup_records_received_ += reply.records.size();
-          resync_applied_ += applied;
+          counters_.catchup_records_received += reply.records.size();
+          counters_.resync_records += applied;
           if (auto* t = trace::current()) {
             t->instant(trace::Category::kDp, id_.value(), "dp.catchup_applied",
                        ctx, std::int64_t(applied), shipped);
           }
           return;
         }
-        delta_records_applied_ += applied;
+        counters_.delta_records_applied += applied;
         // The reply carried the peer's settled digest at serve time:
         // matching it over the same window means this single pull fully
         // reconciled the pair.
         if (engine_.view().digest(reply.digest.as_of, reply.digest.horizon) ==
             reply.digest) {
-          ++delta_converged_;
+          ++counters_.delta_converged;
         }
         if (auto* t = trace::current()) {
           t->end(trace::Category::kDp, id_.value(), "dp.delta_pull", ctx,
@@ -688,7 +689,7 @@ std::uint64_t DecisionPoint::apply_pulled(
     if (!applied_[record.origin].insert(record.seq).second &&
         (!restore || record.when + record.est_runtime <= now ||
          engine_.view().holds(record))) {
-      ++records_duplicate_;
+      ++counters_.records_duplicate;
       continue;
     }
     engine_.record(record);
@@ -704,7 +705,7 @@ net::Served DecisionPoint::handle_delta_pull(std::span<const std::uint8_t> body,
                                              NodeId /*from*/) {
   DeltaPullRequest request;
   if (!net::wire::decode(body, request)) return {};
-  ++pulls_served_;
+  ++counters_.pulls_served;
 
   DeltaPullReply reply;
   reply.from = id_;
@@ -808,7 +809,7 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
                                                  NodeId /*from*/) {
   GetSiteLoadsRequest request;
   if (!net::wire::decode(body, request)) return {};
-  ++queries_;
+  ++counters_.queries;
 
   grid::Job probe;
   probe.id = request.job;
@@ -830,10 +831,10 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
       case economy::Admit::kWithinShare:
         break;
       case economy::Admit::kGrace:
-        ++grace_admissions_;
+        ++counters_.grace_admissions;
         break;
       case economy::Admit::kDenied:
-        ++credit_denials_;
+        ++counters_.credit_denials;
         reply.candidates.clear();
         break;
     }
@@ -899,7 +900,7 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
               reply.has_degraded = true;  // forced: empty level-0, a no-op
               if (!forced) {
                 reply.degraded = degraded;
-                ++degraded_replies_;
+                ++counters_.degraded_replies;
               }
             })
       .slot(attach_prices,
@@ -918,7 +919,7 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
                       it != peer_prices_.end() ? it->second : 0.0);
                 }
               }
-              ++priced_replies_;
+              ++counters_.priced_replies;
             })
       .compose();
 
@@ -950,7 +951,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
     const auto hit =
         dedup_.find(std::make_pair(request.request_client, request.request_seq));
     if (hit != dedup_.end()) {
-      ++dedup_hits_;
+      ++counters_.dedup_hits;
       if (auto* t = trace::current()) {
         t->instant(trace::Category::kDp, id_.value(), "dp.dedup_hit",
                    t->ambient(), std::int64_t(request.request_client),
@@ -968,7 +969,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
 
   // Counted here, below the dedup gate: a collapsed retry is not a new
   // recorded selection.
-  ++selections_;
+  ++counters_.selections;
   gruber::DispatchRecord record;
   record.origin = id_;
   record.seq = next_seq_++;
@@ -988,7 +989,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   // The request-id trailer forces (possibly all-zero) bid bytes onto the
   // wire, so presence alone no longer implies a priced report.
   if (request.has_bid && (request.budget > 0 || request.deadline_s > 0)) {
-    ++priced_selections_;
+    ++counters_.priced_selections;
   }
   if (options_.dissemination != Dissemination::kNone) {
     fresh_.push_back(record);
@@ -1028,7 +1029,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
                                            NodeId /*from*/) {
   ExchangeMessage message;
   if (!net::wire::decode(body, message)) return {};
-  ++exchanges_received_;
+  ++counters_.exchanges_received;
 
   // Flooding never retransmits: a jump in the peer's round counter means
   // dropped rounds (partition, loss) whose records would otherwise stay
@@ -1043,7 +1044,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
     it->second = message.exchange_round;
     if (gap && (last_full_pull_ == sim::Time::zero() ||
                 sim_.now() - last_full_pull_ >= options_.exchange_interval)) {
-      ++gap_resyncs_;
+      ++counters_.gap_resyncs;
       run_full_pull();
     }
   }
@@ -1057,19 +1058,19 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
   // the anti-entropy paths.
   const std::uint32_t relay_ttl = strategy_->ttl();
   if (message.has_hops) {
-    overlay_max_hops_ =
-        std::max<std::uint64_t>(overlay_max_hops_, message.hops);
+    counters_.max_hops =
+        std::max<std::uint64_t>(counters_.max_hops, message.hops);
   }
   std::uint64_t relays_dropped = 0;
   for (std::size_t i = 0; i < message.dispatches.size(); ++i) {
     const gruber::DispatchRecord& record = message.dispatches[i];
     auto& seen = applied_[record.origin];
     if (!seen.insert(record.seq).second) {
-      ++records_duplicate_;
+      ++counters_.records_duplicate;
       continue;
     }
     engine_.record(record);
-    ++records_applied_;
+    ++counters_.records_applied;
     wal_log_dispatch(record, false, 0, 0);
     // After the frame: a boundary-crossing charge appends a settle
     // cross-check frame, which replay verifies after re-driving the
@@ -1085,7 +1086,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
       fresh_.push_back(record);
       fresh_meta_.push_back({message.from, relay_ttl > 0 ? relay_depth : 0});
     } else {
-      ++overlay_relays_suppressed_;
+      ++counters_.relays_suppressed;
       ++relays_dropped;
     }
   }
@@ -1360,7 +1361,7 @@ void DecisionPoint::run_exchange(bool final_flush) {
     targets = &selected;
     if (!graves.empty()) {
       selected.push_back(graves[message.exchange_round % graves.size()]);
-      ++overlay_grave_probes_;
+      ++counters_.grave_probes;
       if (auto* t = trace::current()) {
         t->instant(trace::Category::kDp, id_.value(), "overlay.grave_probe",
                    xctx, std::int64_t(graves.size()),
@@ -1372,7 +1373,7 @@ void DecisionPoint::run_exchange(bool final_flush) {
     // One shared frame, a copy per peer: count every copy so
     // bytes-per-round comparisons against sparse strategies (which
     // really do encode per target) stay honest.
-    overlay_bytes_sent_ += net::wire::encoded_size(message) * targets->size();
+    counters_.bytes_sent += net::wire::encoded_size(message) * targets->size();
     peer_client_.notify_all(*targets, kExchange, message);
   } else {
     for (const NodeId target : *targets) {
@@ -1395,15 +1396,15 @@ void DecisionPoint::run_exchange(bool final_flush) {
         hops = std::max(hops, fresh_meta_[i].depth);
       }
       message.hops = hops;
-      overlay_bytes_sent_ += net::wire::encoded_size(message);
+      counters_.bytes_sent += net::wire::encoded_size(message);
       peer_client_.notify(target, kExchange, message);
     }
     fresh_.clear();
     fresh_meta_.clear();
   }
-  exchanges_sent_ += targets->size();
-  overlay_fanout_total_ += targets->size();
-  ++overlay_rounds_;
+  counters_.exchanges_sent += targets->size();
+  counters_.fanout_total += targets->size();
+  ++counters_.rounds;
   if (auto* t = trace::current()) {
     t->end(trace::Category::kDp, id_.value(), "dp.exchange", xctx,
            std::int64_t(targets->size()));
@@ -1469,7 +1470,7 @@ void DecisionPoint::audit_dispatch(std::uint64_t client, std::uint64_t seq) {
   // crash(), so a duplicate committed across a crash/recovery boundary is
   // still counted.
   if (++dispatch_audit_[std::make_pair(client, seq)] > 1) {
-    ++duplicate_dispatches_;
+    ++counters_.duplicate_dispatches;
   }
 }
 
@@ -1508,7 +1509,7 @@ void DecisionPoint::write_checkpoint() {
 sim::Duration DecisionPoint::replay_from_disk() {
   replaying_ = true;
   const sim::Time now = sim_.now();
-  const std::uint64_t frames_before = replay_frames_;
+  const std::uint64_t frames_before = counters_.replay_frames;
   std::uint32_t persisted_incarnation = 0;
   bool bank_restored = false;
 
@@ -1529,15 +1530,15 @@ sim::Duration DecisionPoint::replay_from_disk() {
         applied_[record.origin].insert(record.seq);
         if (record.when + record.est_runtime > now) {
           engine_.record(record);
-          ++replay_records_;
+          ++counters_.replay_records;
         }
       }
       for (const DedupEntry& entry : checkpoint.dedup) {
         dedup_insert(entry.client, entry.seq, entry.site);
-        ++replay_dedup_;
+        ++counters_.replay_dedup_entries;
       }
     } else {
-      ++checkpoint_fallbacks_;
+      ++counters_.checkpoint_fallbacks;
     }
   }
   // Checkpoint bank charges are inside the image; without one, replay
@@ -1550,12 +1551,12 @@ sim::Duration DecisionPoint::replay_from_disk() {
   // (torn tail): everything before it is intact by CRC.
   const durable::WalScan scan = durable::wal_scan(
       disk_->log(), [&](std::uint8_t type, std::span<const std::uint8_t> payload) {
-        ++replay_frames_;
+        ++counters_.replay_frames;
         switch (WalRecordType(type)) {
           case WalRecordType::kDispatch: {
             WalDispatch frame;
             if (!net::wire::decode(payload, frame)) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
               return;
             }
             const gruber::DispatchRecord& record = frame.record;
@@ -1563,38 +1564,39 @@ sim::Duration DecisionPoint::replay_from_disk() {
               if (record.when + record.est_runtime > now) {
                 engine_.record(record);
               }
-              ++replay_records_;
+              ++counters_.replay_records;
             }
             // Charged per FRAME, not per unique (origin, seq): a
-            // delta-merge twin logs a second frame for a seq already
-            // applied, and its charge really happened — skipping it here
-            // leaves the bank un-rolled past the twin's epoch boundary and
-            // the next settle cross-check reads stale counters.
+            // targeted-pull restore (apply_pulled with `restore`) logs a
+            // second frame for a seq this point already knew, and its
+            // charge really happened — skipping it here leaves the bank
+            // un-rolled past that frame's epoch boundary and the next
+            // settle cross-check reads stale counters.
             charge_bank_at(record, frame.applied_at);
             if (frame.has_request_id) {
               dedup_insert(frame.request_client, frame.request_seq,
                            record.site);
-              ++replay_dedup_;
+              ++counters_.replay_dedup_entries;
             }
             break;
           }
           case WalRecordType::kEpochSettle: {
             WalEpochSettle settle;
             if (!net::wire::decode(payload, settle)) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
               return;
             }
             // Cross-check: the recomputed settlement must be exactly where
             // the live bank was when this frame was logged.
             if (bank_ && bank_->epochs_settled() != settle.epochs_settled) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
             }
             break;
           }
           case WalRecordType::kIncarnation: {
             WalIncarnation bump;
             if (!net::wire::decode(payload, bump)) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
               return;
             }
             persisted_incarnation =
@@ -1602,11 +1604,11 @@ sim::Duration DecisionPoint::replay_from_disk() {
             break;
           }
           default:
-            ++replay_mismatches_;
+            ++counters_.replay_mismatches;
             break;
         }
       });
-  if (scan.truncated) ++replay_truncations_;
+  if (scan.truncated) ++counters_.replay_truncations;
 
   // 3. I11 audit: every record committed (fsynced) before the crash and
   // still unexpired must be back. pre_crash_committed_ is observer state
@@ -1617,7 +1619,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
     if (expiry <= now) continue;
     const auto it = applied_.find(origin);
     if (it == applied_.end() || it->second.count(seq) == 0) {
-      ++replay_mismatches_;
+      ++counters_.replay_mismatches;
     }
   }
   pre_crash_committed_.clear();
@@ -1627,7 +1629,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
   // Accounted replay time: one sequential read of checkpoint + log, plus a
   // small per-frame CPU cost for decode/apply.
   return disk_->read_all_cost() +
-         sim::Duration::micros(20) * double(replay_frames_ - frames_before);
+         sim::Duration::micros(20) * double(counters_.replay_frames - frames_before);
 }
 
 void DecisionPoint::inject_disk_tear() {
@@ -1675,7 +1677,7 @@ void DecisionPoint::check_saturation() {
     return;
   }
   last_signal_ = sim_.now();
-  ++saturation_signals_;
+  ++counters_.saturation_signals;
 
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "dp.saturated", {},

@@ -17,6 +17,7 @@
 #include "digruber/economy/economy.hpp"
 #include "digruber/grid/topology.hpp"
 #include "digruber/gruber/engine.hpp"
+#include "digruber/metrics/counters.hpp"
 #include "digruber/net/rpc.hpp"
 #include "digruber/overlay/overlay.hpp"
 #include "digruber/sim/simulation.hpp"
@@ -113,6 +114,25 @@ struct DecisionPointOptions {
   bool overlay_audit = false;
 };
 
+/// Everything a decision point counts, as plain data (see
+/// DecisionPoint::counters()). The metrics bases are its shares of the
+/// run's counter sections; the fields here are its own brokering and
+/// flooding totals. Counters survive crash() and restart().
+struct DpCounters : metrics::DpResilience, metrics::DpMembership,
+                    metrics::DpPartition, metrics::DpEconomy,
+                    metrics::DpDurability, metrics::OverlayCounters {
+  std::uint64_t queries = 0;             // site-load queries served
+  std::uint64_t selections = 0;          // selection reports recorded
+  std::uint64_t exchanges_received = 0;
+  std::uint64_t records_applied = 0;     // flooded records new to this point
+  std::uint64_t records_duplicate = 0;   // flooded or pulled records already known
+  std::uint64_t saturation_signals = 0;  // signals sent to the monitor
+  /// Records shipped TO this point in full-pull replies, duplicates
+  /// included: the full-snapshot transfer a restart pays, and the number
+  /// durable replay and delta pulls exist to shrink.
+  std::uint64_t catchup_records_received = 0;
+};
+
 /// A DI-GRUBER decision point: a GRUBER engine exposed as a Web service
 /// on a GT3/GT4-like container, loosely synchronized with its peers by a
 /// periodic flooding exchange of dispatch records.
@@ -160,6 +180,9 @@ class DecisionPoint {
   [[nodiscard]] bool running() const { return running_; }
   /// Restart generation (0 until the first restart).
   [[nodiscard]] std::uint32_t incarnation() const { return incarnation_; }
+  /// Every counter this point keeps (layer counters stay zero while their
+  /// layer is off).
+  [[nodiscard]] const DpCounters& counters() const { return counters_; }
 
   /// --- Dynamic membership (no-ops unless options.membership.enabled) ---
 
@@ -188,129 +211,21 @@ class DecisionPoint {
   /// called and when the point reached query-serving state.
   [[nodiscard]] sim::Time join_started_at() const { return join_started_; }
   [[nodiscard]] sim::Time serving_since() const { return serving_since_; }
-  [[nodiscard]] std::uint64_t join_retries() const { return join_retries_; }
-  /// Bootstrap snapshots this point served to joiners.
-  [[nodiscard]] std::uint64_t snapshots_served() const { return snapshots_served_; }
-  /// Dispatch records applied from a join snapshot (vs full-history replay).
-  [[nodiscard]] std::uint64_t join_snapshot_records() const {
-    return join_snapshot_records_;
-  }
-  /// Query requests refused at the door while joining or draining.
-  [[nodiscard]] std::uint64_t drain_nacks_sent() const {
-    return server_.requests_refused_by_gate();
-  }
 
-  /// Counters for the experiment harness.
-  [[nodiscard]] std::uint64_t queries_served() const { return queries_; }
-  [[nodiscard]] std::uint64_t selections_recorded() const { return selections_; }
-  [[nodiscard]] std::uint64_t exchanges_sent() const { return exchanges_sent_; }
-  [[nodiscard]] std::uint64_t exchanges_received() const { return exchanges_received_; }
-  [[nodiscard]] std::uint64_t records_applied() const { return records_applied_; }
-  [[nodiscard]] std::uint64_t records_duplicate() const { return records_duplicate_; }
-  [[nodiscard]] std::uint64_t saturation_signals() const { return saturation_signals_; }
-  [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-  /// Records re-learned from neighbors through full pulls (catch-up).
-  [[nodiscard]] std::uint64_t resync_records_applied() const { return resync_applied_; }
-  /// Full pulls triggered by a flooding-round gap (partition/loss rejoin).
-  [[nodiscard]] std::uint64_t gap_resyncs() const { return gap_resyncs_; }
-  /// Record pulls (full and targeted) this point answered for peers.
-  [[nodiscard]] std::uint64_t pulls_served() const { return pulls_served_; }
-  /// Records shipped TO this point in full-pull replies (duplicates
-  /// included): the full-snapshot anti-entropy transfer volume a restart
-  /// pays, and the number durable replay + delta pulls exist to shrink.
-  [[nodiscard]] std::uint64_t catchup_records_received() const {
-    return catchup_records_received_;
-  }
-
-  /// --- Partition tolerance (all zero unless options.partition.enabled) ---
-
-  /// Exchange rounds whose piggybacked digest disagreed with the local view.
-  [[nodiscard]] std::uint64_t digest_mismatches() const { return digest_mismatches_; }
-  /// Targeted delta anti-entropy pulls issued.
-  [[nodiscard]] std::uint64_t delta_pulls_sent() const { return delta_pulls_sent_; }
-  /// Records learned through targeted pulls (vs full pulls).
-  [[nodiscard]] std::uint64_t delta_records_applied() const {
-    return delta_records_applied_;
-  }
-  /// Delta pulls after which the local digest matched the peer's.
-  [[nodiscard]] std::uint64_t delta_converged() const { return delta_converged_; }
-  /// Queries refused with kNackDegraded (quorum of peers stale).
-  [[nodiscard]] std::uint64_t degraded_refusals() const { return degraded_refusals_; }
-  /// Replies that carried a degraded-mode hint (level >= 1).
-  [[nodiscard]] std::uint64_t degraded_replies() const { return degraded_replies_; }
-  /// Current degraded assessment (level 0 when healthy or PT disabled).
+  /// Current degraded assessment (level 0 when healthy or partition
+  /// tolerance is off).
   [[nodiscard]] DegradedHint degraded_hint(sim::Time now) const;
-
-  /// --- Economy (all zero/null unless options.economy.enabled) ---
 
   /// The credit bank (nullptr unless the karma allocator is active).
   [[nodiscard]] const economy::CreditBank* bank() const { return bank_.get(); }
-  /// Queries whose VO the karma gate refused to broker (empty candidates).
-  [[nodiscard]] std::uint64_t credit_denials() const { return credit_denials_; }
-  /// Over-allowance queries grace-admitted (arbitration winner, idle grid).
-  [[nodiscard]] std::uint64_t grace_admissions() const { return grace_admissions_; }
-  /// Query replies that carried price quotes.
-  [[nodiscard]] std::uint64_t priced_replies() const { return priced_replies_; }
-  /// Selections reported with an economic bid attached.
-  [[nodiscard]] std::uint64_t priced_selections() const { return priced_selections_; }
-
-  /// --- Durability (all zero/null unless options.durability.enabled) ---
 
   /// The simulated storage device (nullptr when durability is off). The
   /// device survives crash() by design: crash models lost RAM, not lost
   /// disk.
   [[nodiscard]] const durable::SimDisk* disk() const { return disk_.get(); }
-  /// Checkpoint+WAL replays performed at restart.
-  [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
-  /// WAL frames read back intact during replays.
-  [[nodiscard]] std::uint64_t replay_frames() const { return replay_frames_; }
-  /// Dispatch records re-applied to the view from local state (vs fetched
-  /// from peers through catch-up/delta anti-entropy).
-  [[nodiscard]] std::uint64_t replay_records() const { return replay_records_; }
-  /// Dedup-window entries rebuilt from checkpoint+WAL.
-  [[nodiscard]] std::uint64_t replay_dedup_entries() const { return replay_dedup_; }
-  /// Replays that hit a torn/corrupt WAL tail and truncated there.
-  [[nodiscard]] std::uint64_t replay_truncations() const { return replay_truncations_; }
-  /// Replays whose checkpoint slot was absent or failed its checksum.
-  [[nodiscard]] std::uint64_t checkpoint_fallbacks() const { return checkpoint_fallbacks_; }
-  /// I11 audit: durably-committed records missing after a replay (always
-  /// zero unless a disk fault destroyed committed bytes).
-  [[nodiscard]] std::uint64_t replay_mismatches() const { return replay_mismatches_; }
-  /// Retried reports collapsed by the dedup window to the original decision.
-  [[nodiscard]] std::uint64_t dedup_hits() const { return dedup_hits_; }
-  /// I12 audit: distinct dispatch records created for one request id
-  /// (ground truth across crashes; zero means exactly-once held).
-  [[nodiscard]] std::uint64_t duplicate_dispatches() const { return duplicate_dispatches_; }
   /// Accounted sim-time cost of the most recent recovery replay.
   [[nodiscard]] sim::Duration last_recovery_cost() const { return last_recovery_cost_; }
 
-  /// --- Overlay (mesh defaults: rounds/fanout count, rest stays zero) ---
-
-  /// Exchange rounds that actually pushed to at least one peer.
-  [[nodiscard]] std::uint64_t overlay_rounds() const { return overlay_rounds_; }
-  /// Sum of per-round push-set sizes (fanout_total / rounds = mean fanout).
-  [[nodiscard]] std::uint64_t overlay_fanout_total() const {
-    return overlay_fanout_total_;
-  }
-  /// Deepest relay depth observed on any received exchange frame.
-  [[nodiscard]] std::uint64_t overlay_max_hops() const { return overlay_max_hops_; }
-  /// Fresh records not re-relayed because their frame hit the strategy TTL.
-  [[nodiscard]] std::uint64_t overlay_relays_suppressed() const {
-    return overlay_relays_suppressed_;
-  }
-  /// Strategy structure rebuilds that changed this point's push set
-  /// (tree/super-peer repair under churn).
-  [[nodiscard]] std::uint64_t overlay_rebuilds() const { return overlay_rebuilds_; }
-  /// Exchange frames copied to a rotating dead peer so a falsely-buried
-  /// point can learn the verdict and refute it (sparse overlays only).
-  [[nodiscard]] std::uint64_t overlay_grave_probes() const {
-    return overlay_grave_probes_;
-  }
-  /// Exchange body bytes this point put on the wire, counting every copy
-  /// sent (a mesh broadcast is one encode but fan-out many sends).
-  [[nodiscard]] std::uint64_t overlay_bytes_sent() const {
-    return overlay_bytes_sent_;
-  }
   /// I13 audit snapshots: every (origin, seq) this point has applied, and
   /// the (seq, accepted-at-seconds) log of its own records (only kept
   /// when options.overlay_audit; survives crash like the other audit
@@ -441,13 +356,6 @@ class DecisionPoint {
     std::uint32_t depth = 0;
   };
   std::vector<FreshMeta> fresh_meta_;
-  std::uint64_t overlay_rounds_ = 0;
-  std::uint64_t overlay_fanout_total_ = 0;
-  std::uint64_t overlay_max_hops_ = 0;
-  std::uint64_t overlay_relays_suppressed_ = 0;
-  std::uint64_t overlay_rebuilds_ = 0;
-  std::uint64_t overlay_grave_probes_ = 0;
-  std::uint64_t overlay_bytes_sent_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t exchange_round_ = 0;
   /// Records learned since the last exchange tick (own + relayed).
@@ -480,44 +388,20 @@ class DecisionPoint {
   std::uint32_t join_attempt_ = 0;
   sim::Time join_started_;
   sim::Time serving_since_;
-  std::uint64_t join_retries_ = 0;
-  std::uint64_t snapshots_served_ = 0;
-  std::uint64_t join_snapshot_records_ = 0;
 
-  std::uint64_t queries_ = 0;
-  std::uint64_t selections_ = 0;
-  std::uint64_t exchanges_sent_ = 0;
-  std::uint64_t exchanges_received_ = 0;
-  std::uint64_t records_applied_ = 0;
-  std::uint64_t records_duplicate_ = 0;
-  std::uint64_t saturation_signals_ = 0;
-  std::uint64_t restarts_ = 0;
-  std::uint64_t resync_applied_ = 0;
-  std::uint64_t pulls_served_ = 0;
-  std::uint64_t catchup_records_received_ = 0;
-  std::uint64_t gap_resyncs_ = 0;
+  DpCounters counters_;
 
   /// Partition-tolerance state (only touched when options.partition.enabled):
   /// per-peer last-heard times — the staleness clock behind degraded-mode
   /// admission — and per-peer delta-pull throttle stamps. Volatile.
   std::unordered_map<DpId, sim::Time> peer_last_heard_;
   std::unordered_map<DpId, sim::Time> last_delta_pull_;
-  std::uint64_t digest_mismatches_ = 0;
-  std::uint64_t delta_pulls_sent_ = 0;
-  std::uint64_t delta_records_applied_ = 0;
-  std::uint64_t delta_converged_ = 0;
-  std::uint64_t degraded_refusals_ = 0;
-  std::uint64_t degraded_replies_ = 0;
 
   /// Economy state (only touched when options.economy.enabled): the credit
   /// bank is created when the karma allocator is selected and survives
   /// crashes only as a fresh endowment (reset(), like the rest of the soft
   /// state).
   std::unique_ptr<economy::CreditBank> bank_;
-  std::uint64_t credit_denials_ = 0;
-  std::uint64_t grace_admissions_ = 0;
-  std::uint64_t priced_replies_ = 0;
-  std::uint64_t priced_selections_ = 0;
 
   /// Durable state (only when options.durability.enabled). The disk is
   /// deliberately *not* reset by crash(); everything else here is volatile
@@ -530,15 +414,6 @@ class DecisionPoint {
   /// bounded by options.durability.dedup_window, persisted through the WAL.
   std::map<std::pair<std::uint64_t, std::uint64_t>, SiteId> dedup_;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> dedup_order_;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t replay_frames_ = 0;
-  std::uint64_t replay_records_ = 0;
-  std::uint64_t replay_dedup_ = 0;
-  std::uint64_t replay_truncations_ = 0;
-  std::uint64_t checkpoint_fallbacks_ = 0;
-  std::uint64_t replay_mismatches_ = 0;
-  std::uint64_t dedup_hits_ = 0;
-  std::uint64_t duplicate_dispatches_ = 0;
   sim::Duration last_recovery_cost_;
   /// Audit state for the I11/I12 invariants. Observer-only ground truth:
   /// intentionally NOT cleared by crash() (it survives the way an external

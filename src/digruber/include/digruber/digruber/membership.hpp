@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "digruber/common/ids.hpp"
+#include "digruber/metrics/counters.hpp"
 #include "digruber/sim/time.hpp"
 
 namespace digruber::digruber {
@@ -77,14 +78,6 @@ struct MembershipTransition {
   sim::Time at;
 };
 
-struct MembershipTableCounters {
-  std::uint64_t suspicions = 0;       // alive -> suspect verdicts
-  std::uint64_t deaths = 0;           // -> dead (detector or gossip)
-  std::uint64_t refutations = 0;      // suspect/dead -> alive resurrections
-  std::uint64_t joins_observed = 0;   // previously-unknown members learned
-  std::uint64_t leaves_observed = 0;  // graceful departures learned
-};
-
 /// Interval-with-suspicion failure detector plus the membership view one
 /// decision point holds of its mesh. Pure state machine: it owns no timers
 /// and sends no frames — the decision point feeds it direct heartbeat
@@ -153,7 +146,7 @@ class MembershipTable {
 
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] const MembershipOptions& options() const { return options_; }
-  [[nodiscard]] const MembershipTableCounters& counters() const { return counters_; }
+  [[nodiscard]] const metrics::DetectorCounters& counters() const { return counters_; }
   /// Every transition this table ever made, in order (churn-soak audit).
   [[nodiscard]] const std::vector<MembershipTransition>& transitions() const {
     return transitions_;
@@ -189,7 +182,7 @@ class MembershipTable {
   std::map<DpId, Entry> peers_;
   std::vector<MemberInfo> seeds_;
   std::uint64_t epoch_ = 1;
-  MembershipTableCounters counters_;
+  metrics::DetectorCounters counters_;
   std::vector<MembershipTransition> transitions_;
 };
 

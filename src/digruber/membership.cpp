@@ -159,7 +159,7 @@ std::optional<MembershipTransition> MembershipTable::merge_one(
         ++counters_.joins_observed;
         break;
       case MemberState::kDead:
-        ++counters_.deaths;
+        ++counters_.deaths_declared;
         break;
       case MemberState::kLeft:
         ++counters_.leaves_observed;
@@ -188,7 +188,7 @@ std::optional<MembershipTransition> MembershipTable::merge_one(
       ++counters_.suspicions;
       break;
     case MemberState::kDead:
-      ++counters_.deaths;
+      ++counters_.deaths_declared;
       break;
     case MemberState::kLeft:
       ++counters_.leaves_observed;
@@ -252,7 +252,7 @@ MembershipTable::SweepResult MembershipTable::sweep(
         silent_s >= options_.dead_after * interval_s) {
       entry.info.state = MemberState::kDead;
       entry.since = now;
-      ++counters_.deaths;
+      ++counters_.deaths_declared;
       ++epoch_;
       log_transition(dp, MemberState::kDead, entry.info.incarnation, now);
       result.transitions.push_back(transitions_.back());

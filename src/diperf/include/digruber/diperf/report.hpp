@@ -1,10 +1,13 @@
 #pragma once
 
-#include <iosfwd>
+#include <ostream>
 #include <string>
+#include <string_view>
 
+#include "digruber/common/table.hpp"
 #include "digruber/diperf/diperf.hpp"
 #include "digruber/metrics/metrics.hpp"
+#include "digruber/net/wire/stats.hpp"
 
 namespace digruber::diperf {
 
@@ -15,38 +18,26 @@ void render_figure(std::ostream& os, const std::string& title,
                    const Collector& collector, double end_s,
                    double bucket_s = 60.0, std::size_t max_rows = 20);
 
-/// Render the fault-tolerance counter block the resilience bench appends
-/// below its figure.
-void render_resilience(std::ostream& os, const metrics::ResilienceCounters& counters);
-
-/// Render the overload-control counter block (container shedding + client
-/// adaptive-retry accounting). Queue-full drops appear here as typed
-/// rejections, distinguishable from network loss in the resilience block.
-void render_overload(std::ostream& os, const metrics::OverloadCounters& counters);
-
-/// Render the dynamic-membership counter block (failure-detector verdicts,
-/// join/leave protocol traffic, client-side quarantine accounting).
-void render_membership(std::ostream& os, const metrics::MembershipCounters& counters);
-
-/// Render the economic-brokering counter block (credit-bank settlement,
-/// karma admission verdicts, market-placement routing). Credit amounts
-/// are CPU-seconds.
-void render_economy(std::ostream& os, const metrics::EconomyCounters& counters);
-
-/// Render the dissemination-overlay counter block (per-round fan-out,
-/// observed relay depth, TTL-suppressed relays, churn-driven rebuilds).
-/// `strategy` is overlay::kind_name() of the active strategy.
-void render_overlay(std::ostream& os, const char* strategy,
-                    const metrics::OverlayCounters& counters);
+/// Render a counter section as a two-column DiPerF table titled
+/// `title`: one row per CounterTable<S> row, in table order. Counts and
+/// credit amounts print as integers; a derived row prints with its own
+/// decimals.
+template <class S>
+void render_counters(std::ostream& os, std::string_view title, const S& counters) {
+  os << "== " << title << " ==\n";
+  Table table({"counter", "value"});
+  for (const metrics::Counter<S>& row : metrics::CounterTable<S>::rows) {
+    table.add_row({row.label, Table::num(row.value(counters), row.decimals)});
+  }
+  table.render(os);
+  os << "\n";
+}
 
 /// Render the per-category bytes-on-wire / encode-count block. With the
 /// zero-copy message path, `encodes` counts serializations (one per
 /// exchange round, not one per peer); bytes are the frames those encodes
 /// produced.
-void render_wire(std::ostream& os, const metrics::WireCounters& counters);
-
-/// Snapshot the process-wide wire telemetry into report-ready counters.
-[[nodiscard]] metrics::WireCounters snapshot_wire_counters();
+void render_wire(std::ostream& os, const net::wire::WireStats& stats);
 
 /// Render the response-time percentile block (p50/p95/p99 from the
 /// HDR-style histogram in MetricValues) for the handled / not-handled /

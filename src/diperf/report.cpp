@@ -66,147 +66,7 @@ void render_latency_percentiles(std::ostream& os,
   os << "\n";
 }
 
-void render_resilience(std::ostream& os,
-                       const metrics::ResilienceCounters& counters) {
-  os << "== resilience counters ==\n";
-  Table table({"counter", "value"});
-  table.add_row({"client failovers", Table::num(double(counters.failovers), 0)});
-  table.add_row({"breaker trips", Table::num(double(counters.breaker_trips), 0)});
-  table.add_row(
-      {"all-DPs-down fallbacks", Table::num(double(counters.all_dps_down_fallbacks), 0)});
-  table.add_row({"DP restarts", Table::num(double(counters.dp_restarts), 0)});
-  table.add_row(
-      {"re-sync records applied", Table::num(double(counters.resync_records), 0)});
-  table.add_row(
-      {"pulls served", Table::num(double(counters.pulls_served), 0)});
-  table.add_row(
-      {"round-gap re-syncs", Table::num(double(counters.gap_resyncs), 0)});
-  table.add_row({"drops: loss", Table::num(double(counters.drops_loss), 0)});
-  table.add_row(
-      {"drops: partition", Table::num(double(counters.drops_partition), 0)});
-  table.add_row({"drops: unknown destination",
-                 Table::num(double(counters.drops_unknown_destination), 0)});
-  table.add_row({"drops: total", Table::num(double(counters.drops_total()), 0)});
-  table.render(os);
-  os << "\n";
-}
-
-void render_overload(std::ostream& os, const metrics::OverloadCounters& counters) {
-  os << "== overload counters ==\n";
-  Table table({"counter", "value"});
-  table.add_row({"requests submitted", Table::num(double(counters.submitted), 0)});
-  table.add_row(
-      {"shed: queue full", Table::num(double(counters.shed_queue_full), 0)});
-  table.add_row(
-      {"shed: deadline doomed", Table::num(double(counters.shed_deadline), 0)});
-  table.add_row({"shed: total", Table::num(double(counters.shed_total()), 0)});
-  table.add_row({"LIFO pickups", Table::num(double(counters.lifo_pickups), 0)});
-  table.add_row({"aborted by crash", Table::num(double(counters.aborted), 0)});
-  table.add_row(
-      {"overload NACKs received", Table::num(double(counters.overload_nacks), 0)});
-  table.add_row(
-      {"retry_after honored", Table::num(double(counters.retry_after_honored), 0)});
-  table.add_row({"retries denied (budget)",
-                 Table::num(double(counters.retries_budget_denied), 0)});
-  table.add_row(
-      {"p2c routing decisions", Table::num(double(counters.p2c_decisions), 0)});
-  table.render(os);
-  os << "\n";
-}
-
-void render_membership(std::ostream& os,
-                       const metrics::MembershipCounters& counters) {
-  os << "== membership counters ==\n";
-  Table table({"counter", "value"});
-  table.add_row({"suspicions", Table::num(double(counters.suspicions), 0)});
-  table.add_row(
-      {"deaths declared", Table::num(double(counters.deaths_declared), 0)});
-  table.add_row({"refutations", Table::num(double(counters.refutations), 0)});
-  table.add_row(
-      {"joins observed", Table::num(double(counters.joins_observed), 0)});
-  table.add_row(
-      {"leaves observed", Table::num(double(counters.leaves_observed), 0)});
-  table.add_row(
-      {"joins started", Table::num(double(counters.joins_started), 0)});
-  table.add_row(
-      {"joins completed", Table::num(double(counters.joins_completed), 0)});
-  table.add_row({"join snapshot retries",
-                 Table::num(double(counters.join_snapshot_retries), 0)});
-  table.add_row({"join snapshot records",
-                 Table::num(double(counters.join_snapshot_records), 0)});
-  table.add_row(
-      {"snapshots served", Table::num(double(counters.snapshots_served), 0)});
-  table.add_row(
-      {"drain NACKs sent", Table::num(double(counters.drain_nacks), 0)});
-  table.add_row({"client updates applied",
-                 Table::num(double(counters.client_updates_applied), 0)});
-  table.add_row(
-      {"client DPs added", Table::num(double(counters.client_dps_added), 0)});
-  table.add_row({"client DPs quarantined",
-                 Table::num(double(counters.client_dps_quarantined), 0)});
-  table.add_row({"client drain redirects",
-                 Table::num(double(counters.client_drain_redirects), 0)});
-  table.render(os);
-  os << "\n";
-}
-
-void render_economy(std::ostream& os, const metrics::EconomyCounters& counters) {
-  os << "== economy counters ==\n";
-  Table table({"counter", "value"});
-  table.add_row(
-      {"epochs settled", Table::num(double(counters.epochs_settled), 0)});
-  table.add_row(
-      {"credits endowed (cpu-s)", Table::num(counters.credits_initial, 0)});
-  table.add_row(
-      {"credits earned (cpu-s)", Table::num(counters.credits_earned, 0)});
-  table.add_row(
-      {"credits spent (cpu-s)", Table::num(counters.credits_spent, 0)});
-  table.add_row({"credits expired: pool",
-                 Table::num(counters.credits_expired_pool, 0)});
-  table.add_row(
-      {"credits expired: cap", Table::num(counters.credits_expired_cap, 0)});
-  table.add_row(
-      {"credit denials", Table::num(double(counters.credit_denials), 0)});
-  table.add_row(
-      {"grace admissions", Table::num(double(counters.grace_admissions), 0)});
-  table.add_row(
-      {"priced replies", Table::num(double(counters.priced_replies), 0)});
-  table.add_row(
-      {"priced selections", Table::num(double(counters.priced_selections), 0)});
-  table.add_row(
-      {"priced dispatches", Table::num(double(counters.priced_dispatches), 0)});
-  table.add_row(
-      {"budget rejections", Table::num(double(counters.budget_rejections), 0)});
-  table.add_row(
-      {"market fallbacks", Table::num(double(counters.market_fallbacks), 0)});
-  table.render(os);
-  os << "\n";
-}
-
-void render_overlay(std::ostream& os, const char* strategy,
-                    const metrics::OverlayCounters& counters) {
-  os << "== overlay counters (" << strategy << ") ==\n";
-  Table table({"counter", "value"});
-  table.add_row(
-      {"exchanges sent", Table::num(double(counters.exchanges_sent), 0)});
-  table.add_row({"exchange rounds", Table::num(double(counters.rounds), 0)});
-  table.add_row({"mean fan-out", Table::num(counters.mean_fanout(), 2)});
-  table.add_row(
-      {"max relay depth", Table::num(double(counters.max_hops), 0)});
-  table.add_row({"relays suppressed (TTL)",
-                 Table::num(double(counters.relays_suppressed), 0)});
-  table.add_row(
-      {"strategy rebuilds", Table::num(double(counters.rebuilds), 0)});
-  table.add_row(
-      {"grave probes", Table::num(double(counters.grave_probes), 0)});
-  table.add_row({"bytes sent", Table::num(double(counters.bytes_sent), 0)});
-  table.add_row(
-      {"bytes / round", Table::num(counters.bytes_per_round(), 0)});
-  table.render(os);
-  os << "\n";
-}
-
-void render_wire(std::ostream& os, const metrics::WireCounters& counters) {
+void render_wire(std::ostream& os, const net::wire::WireStats& stats) {
   os << "== wire traffic by category ==\n";
   Table table({"category", "encodes", "bytes"});
   const auto row = [&](const char* name, std::uint64_t encodes,
@@ -214,28 +74,17 @@ void render_wire(std::ostream& os, const metrics::WireCounters& counters) {
     table.add_row({name, Table::num(double(encodes), 0),
                    Table::num(double(bytes), 0)});
   };
-  row("queries", counters.query_encodes, counters.query_bytes);
-  row("state exchange", counters.exchange_encodes, counters.exchange_bytes);
-  row("control", counters.control_encodes, counters.control_bytes);
-  row("other", counters.other_encodes, counters.other_bytes);
-  row("total", counters.total_encodes(), counters.total_bytes());
+  using net::wire::MsgCategory;
+  const auto category = [&](const char* name, MsgCategory c) {
+    row(name, stats.encodes(c), stats.bytes(c));
+  };
+  category("queries", MsgCategory::kQuery);
+  category("state exchange", MsgCategory::kStateExchange);
+  category("control", MsgCategory::kControl);
+  category("other", MsgCategory::kOther);
+  row("total", stats.total_encodes(), stats.total_bytes());
   table.render(os);
   os << "\n";
-}
-
-metrics::WireCounters snapshot_wire_counters() {
-  const net::wire::WireStats& stats = net::wire::wire_stats();
-  using net::wire::MsgCategory;
-  metrics::WireCounters counters;
-  counters.query_encodes = stats.encodes(MsgCategory::kQuery);
-  counters.query_bytes = stats.bytes(MsgCategory::kQuery);
-  counters.exchange_encodes = stats.encodes(MsgCategory::kStateExchange);
-  counters.exchange_bytes = stats.bytes(MsgCategory::kStateExchange);
-  counters.control_encodes = stats.encodes(MsgCategory::kControl);
-  counters.control_bytes = stats.bytes(MsgCategory::kControl);
-  counters.other_encodes = stats.encodes(MsgCategory::kOther);
-  counters.other_bytes = stats.bytes(MsgCategory::kOther);
-  return counters;
 }
 
 }  // namespace digruber::diperf

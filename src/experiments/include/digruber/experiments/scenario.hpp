@@ -151,38 +151,22 @@ struct ScenarioConfig {
   trace::Tracer* tracer = nullptr;
 };
 
-struct DpStats {
-  std::uint64_t queries = 0;
-  std::uint64_t selections = 0;
-  std::uint64_t exchanges_sent = 0;
-  std::uint64_t exchanges_received = 0;
-  std::uint64_t records_applied = 0;
-  std::uint64_t records_duplicate = 0;
-  std::uint64_t saturation_signals = 0;
-  std::uint64_t refused = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t resync_records = 0;
-  std::uint64_t pulls_served = 0;  // full and targeted
-  std::uint64_t catchup_records_received = 0;
+/// One decision point at harvest: its counters plus the values its
+/// container, disk and failure detector keep, and its end-of-run state.
+/// The bases are summed into the ScenarioResult sections.
+struct DpStats : digruber::DpCounters, metrics::ContainerLoad,
+                 metrics::DeviceCounters, metrics::DetectorCounters {
+  /// Container admission, with ContainerLoad (chaos-harness conservation
+  /// input: submitted == completed + refused + shed_deadline + aborted +
+  /// residue).
+  std::uint64_t completed = 0;
+  std::uint64_t queue_residue = 0;  // still queued/busy at harvest
   double container_utilization = 0.0;
   double mean_sojourn_s = 0.0;
-  /// Container admission accounting (chaos-harness conservation input:
-  /// submitted == completed + refused + shed_deadline + aborted + residue).
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t lifo_pickups = 0;
-  std::uint64_t aborted = 0;
-  std::uint64_t queue_residue = 0;  // still queued/busy at harvest
 
   // Dynamic membership (defaults with membership off).
   bool serving = true;
   bool left = false;
-  std::uint64_t suspicions = 0;
-  std::uint64_t deaths_declared = 0;
-  std::uint64_t refutations = 0;
-  std::uint64_t snapshots_served = 0;
-  std::uint64_t drain_nacks = 0;
   /// Join lifecycle (-1 for points that never joined at runtime).
   double join_started_s = -1.0;
   double serving_since_s = -1.0;
@@ -190,47 +174,10 @@ struct DpStats {
   /// (the churn soak and the bench derive time-to-detect from these).
   std::vector<digruber::MembershipTransition> membership_transitions;
 
-  // Partition tolerance (defaults with partition_tolerance off).
-  std::uint64_t digest_mismatches = 0;
-  std::uint64_t delta_pulls_sent = 0;
-  std::uint64_t delta_records_applied = 0;
-  std::uint64_t delta_converged = 0;
-  std::uint64_t degraded_refusals = 0;
-  std::uint64_t degraded_replies = 0;
-
-  // Economic brokering (defaults with the economy off). `economy` carries
-  // this point's credit-bank ledgers; the chaos harness checks per-bank
-  // conservation against it.
+  /// This point's credit-bank ledgers (economy off: empty); the chaos
+  /// harness checks per-bank conservation against it.
   economy::BankStats economy{};
-  std::uint64_t priced_replies = 0;
-  std::uint64_t priced_selections = 0;
-
-  // Durability (defaults with durability off).
-  std::uint64_t recoveries = 0;
-  std::uint64_t replay_frames = 0;
-  std::uint64_t replay_records = 0;
-  std::uint64_t replay_dedup_entries = 0;
-  std::uint64_t replay_truncations = 0;
-  std::uint64_t checkpoint_fallbacks = 0;
-  std::uint64_t replay_mismatches = 0;   // I11: committed-but-lost records
-  std::uint64_t dedup_hits = 0;
-  std::uint64_t duplicate_dispatches = 0;  // I12: one request id, 2+ commits
   double last_recovery_s = 0.0;
-  /// Device counters (copied from the point's SimDisk at harvest).
-  std::uint64_t wal_appends = 0;
-  std::uint64_t wal_bytes = 0;
-  std::uint64_t fsyncs = 0;
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t log_truncations = 0;
-  std::uint64_t disk_torn_tails = 0;
-  std::uint64_t disk_bit_flips = 0;
-
-  // Dissemination overlay (under the default mesh only rounds/fanout move).
-  std::uint64_t overlay_rounds = 0;
-  std::uint64_t overlay_fanout_total = 0;
-  std::uint64_t overlay_max_hops = 0;
-  std::uint64_t overlay_relays_suppressed = 0;
-  std::uint64_t overlay_rebuilds = 0;
   /// Alive at harvest (crashed-and-not-restarted points report false).
   bool running = true;
   /// I13 audit payloads (filled only when config.overlay_audit): every
@@ -238,18 +185,6 @@ struct DpStats {
   /// (seq, accepted-at-seconds).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> applied_keys;
   std::vector<std::pair<std::uint64_t, double>> own_records;
-};
-
-/// Client-fleet totals (chaos-harness conservation input: every scheduled
-/// query resolves exactly once, so queries == handled + fallbacks).
-struct ClientTotals {
-  std::uint64_t queries = 0;
-  std::uint64_t handled = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t starvations = 0;
-  /// Exactly-once dispatch (zero unless request_ids is on).
-  std::uint64_t report_retries = 0;
-  std::uint64_t dedup_replies = 0;
 };
 
 struct ScenarioResult {
@@ -294,8 +229,9 @@ struct ScenarioResult {
   /// Dissemination-overlay counters (mesh fanout under the default).
   metrics::OverlayCounters overlay;
 
-  /// Client-fleet conservation totals.
-  ClientTotals clients;
+  /// Client-fleet query outcomes (conservation: queries == handled +
+  /// fallbacks).
+  metrics::ClientTotals clients;
 
   /// Sites whose free-CPU accounting is negative at harvest — any nonzero
   /// value means allocation bookkeeping leaked (USLA over-allocation).

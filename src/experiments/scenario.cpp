@@ -664,37 +664,23 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 
   for (const auto& dp : dps) {
     DpStats stats;
-    stats.queries = dp->queries_served();
-    stats.selections = dp->selections_recorded();
-    stats.exchanges_sent = dp->exchanges_sent();
-    stats.exchanges_received = dp->exchanges_received();
-    stats.records_applied = dp->records_applied();
-    stats.records_duplicate = dp->records_duplicate();
-    stats.saturation_signals = dp->saturation_signals();
-    stats.refused = dp->server().container().refused();
-    stats.restarts = dp->restarts();
-    stats.resync_records = dp->resync_records_applied();
-    stats.pulls_served = dp->pulls_served();
-    stats.catchup_records_received = dp->catchup_records_received();
-    stats.container_utilization =
-        dp->server().container().utilization(sim::Time::zero() + config.duration);
-    stats.mean_sojourn_s = dp->response_stats().mean();
+    static_cast<digruber::DpCounters&>(stats) = dp->counters();
     const net::ServiceContainer& container = dp->server().container();
     stats.submitted = container.submitted();
-    stats.completed = container.completed();
+    stats.refused = container.refused();
     stats.shed_deadline = container.shed_deadline();
     stats.lifo_pickups = container.lifo_pickups();
     stats.aborted = container.aborted();
+    stats.completed = container.completed();
     stats.queue_residue =
         container.queue_depth() + std::size_t(container.busy_workers());
+    stats.container_utilization =
+        container.utilization(sim::Time::zero() + config.duration);
+    stats.mean_sojourn_s = dp->response_stats().mean();
+    stats.serving = dp->serving();
+    stats.left = dp->left();
     if (const digruber::MembershipTable* table = dp->membership()) {
-      stats.serving = dp->serving();
-      stats.left = dp->left();
-      stats.suspicions = table->counters().suspicions;
-      stats.deaths_declared = table->counters().deaths;
-      stats.refutations = table->counters().refutations;
-      stats.snapshots_served = dp->snapshots_served();
-      stats.drain_nacks = dp->drain_nacks_sent();
+      static_cast<metrics::DetectorCounters&>(stats) = table->counters();
       if (dp->join_started_at().to_seconds() > 0.0) {
         stats.join_started_s = dp->join_started_at().to_seconds();
       }
@@ -702,28 +688,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         stats.serving_since_s = dp->serving_since().to_seconds();
       }
       stats.membership_transitions = table->transitions();
+      // The door gate's refusals (draining, replaying, degraded) are
+      // reported as drain NACKs for membership points only.
+      result.membership.drain_nacks += dp->server().requests_refused_by_gate();
     }
-    stats.digest_mismatches = dp->digest_mismatches();
-    stats.delta_pulls_sent = dp->delta_pulls_sent();
-    stats.delta_records_applied = dp->delta_records_applied();
-    stats.delta_converged = dp->delta_converged();
-    stats.degraded_refusals = dp->degraded_refusals();
-    stats.degraded_replies = dp->degraded_replies();
     if (const economy::CreditBank* bank = dp->bank()) {
       stats.economy = bank->stats();
     }
-    stats.priced_replies = dp->priced_replies();
-    stats.priced_selections = dp->priced_selections();
     if (const durable::SimDisk* disk = dp->disk()) {
-      stats.recoveries = dp->recoveries();
-      stats.replay_frames = dp->replay_frames();
-      stats.replay_records = dp->replay_records();
-      stats.replay_dedup_entries = dp->replay_dedup_entries();
-      stats.replay_truncations = dp->replay_truncations();
-      stats.checkpoint_fallbacks = dp->checkpoint_fallbacks();
-      stats.replay_mismatches = dp->replay_mismatches();
-      stats.dedup_hits = dp->dedup_hits();
-      stats.duplicate_dispatches = dp->duplicate_dispatches();
       stats.last_recovery_s = dp->last_recovery_cost().to_seconds();
       const durable::DiskCounters& dc = disk->counters();
       stats.wal_appends = dc.appends;
@@ -731,29 +703,61 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       stats.fsyncs = dc.fsyncs;
       stats.checkpoints_written = dc.checkpoints_written;
       stats.log_truncations = dc.log_truncations;
-      stats.disk_torn_tails = dc.torn_tails;
-      stats.disk_bit_flips = dc.bit_flips;
+      stats.torn_tails = dc.torn_tails;
+      stats.bit_flips = dc.bit_flips;
     }
-    stats.overlay_rounds = dp->overlay_rounds();
-    stats.overlay_fanout_total = dp->overlay_fanout_total();
-    stats.overlay_max_hops = dp->overlay_max_hops();
-    stats.overlay_relays_suppressed = dp->overlay_relays_suppressed();
-    stats.overlay_rebuilds = dp->overlay_rebuilds();
     stats.running = dp->running();
     if (config.overlay_audit) {
       stats.applied_keys = dp->applied_keys();
       stats.own_records = dp->own_record_log();
     }
-    result.overlay.exchanges_sent += dp->exchanges_sent();
-    result.overlay.rounds += dp->overlay_rounds();
-    result.overlay.fanout_total += dp->overlay_fanout_total();
-    result.overlay.max_hops =
-        std::max(result.overlay.max_hops, dp->overlay_max_hops());
-    result.overlay.relays_suppressed += dp->overlay_relays_suppressed();
-    result.overlay.rebuilds += dp->overlay_rebuilds();
-    result.overlay.grave_probes += dp->overlay_grave_probes();
-    result.overlay.bytes_sent += dp->overlay_bytes_sent();
-    result.dps.push_back(stats);
+    result.partition.frames_bad_checksum +=
+        dp->server().requests_bad(net::BadFrameCause::kChecksum);
+    result.dps.push_back(std::move(stats));
+  }
+
+  // --- Counter sections: each decision point's and client's share. -------
+  using metrics::accumulate_part;
+  for (const DpStats& s : result.dps) {
+    accumulate_part<metrics::DpResilience>(result.resilience, s);
+    accumulate_part<metrics::ContainerLoad>(result.overload, s);
+    accumulate_part<metrics::DetectorCounters>(result.membership, s);
+    accumulate_part<metrics::DpMembership>(result.membership, s);
+    accumulate_part<metrics::DpPartition>(result.partition, s);
+    accumulate_part<metrics::DpEconomy>(result.economy, s);
+    accumulate_part<metrics::DeviceCounters>(result.durability, s);
+    accumulate_part<metrics::DpDurability>(result.durability, s);
+    accumulate_part<metrics::OverlayCounters>(result.overlay, s);
+    if (s.join_started_s > 0.0) {
+      ++result.membership.joins_started;
+      if (s.serving_since_s > 0.0) ++result.membership.joins_completed;
+    }
+    metrics::EconomyCounters& eco = result.economy;
+    eco.epochs_settled += s.economy.epochs_settled;
+    eco.credits_initial += s.economy.initial_total;
+    eco.credits_earned += s.economy.earned;
+    eco.credits_spent += s.economy.spent;
+    eco.credits_expired_pool += s.economy.expired_pool;
+    eco.credits_expired_cap += s.economy.expired_cap;
+  }
+  for (const auto& client : clients) {
+    const digruber::ClientCounters& c = client->counters();
+    accumulate_part<metrics::ClientTotals>(result.clients, c);
+    accumulate_part<metrics::ClientResilience>(result.resilience, c);
+    accumulate_part<metrics::ClientOverload>(result.overload, c);
+    accumulate_part<metrics::ClientMembership>(result.membership, c);
+    accumulate_part<metrics::ClientPartition>(result.partition, c);
+    accumulate_part<metrics::ClientEconomy>(result.economy, c);
+    accumulate_part<metrics::ClientDurability>(result.durability, c);
+  }
+  result.resilience.drops_loss = transport.packets_dropped(net::DropCause::kLoss);
+  result.resilience.drops_partition =
+      transport.packets_dropped(net::DropCause::kPartition);
+  result.resilience.drops_unknown_destination =
+      transport.packets_dropped(net::DropCause::kUnknownDestination);
+  result.partition.packets_corrupted = transport.packets_corrupted();
+  for (const auto& site : grid.sites()) {
+    if (site->free_cpus() < 0) ++result.sites_overcommitted;
   }
 
   {
@@ -780,153 +784,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     result.vo_fairness = metrics::fairness(vo_values);
     result.group_fairness = metrics::fairness(group_values);
     result.brokered_vo_fairness = metrics::fairness(shared.brokered_granted);
-  }
-
-  if (economy_on) {
-    metrics::EconomyCounters& eco = result.economy;
-    for (const auto& dp : dps) {
-      if (const economy::CreditBank* bank = dp->bank()) {
-        const economy::BankStats stats = bank->stats();
-        eco.epochs_settled += stats.epochs_settled;
-        eco.credits_initial += stats.initial_total;
-        eco.credits_earned += stats.earned;
-        eco.credits_spent += stats.spent;
-        eco.credits_expired_pool += stats.expired_pool;
-        eco.credits_expired_cap += stats.expired_cap;
-      }
-      eco.credit_denials += dp->credit_denials();
-      eco.grace_admissions += dp->grace_admissions();
-      eco.priced_replies += dp->priced_replies();
-      eco.priced_selections += dp->priced_selections();
-    }
-    for (const auto& client : clients) {
-      eco.priced_dispatches += client->priced_dispatches();
-      eco.budget_rejections += client->budget_rejections();
-      eco.market_fallbacks += client->market_fallbacks();
-    }
-  }
-
-  {
-    metrics::ResilienceCounters& res = result.resilience;
-    for (const auto& client : clients) {
-      res.failovers += client->failovers();
-      res.breaker_trips += client->breaker_trips();
-      res.all_dps_down_fallbacks += client->all_dps_down_fallbacks();
-    }
-    for (const auto& dp : dps) {
-      res.dp_restarts += dp->restarts();
-      res.resync_records += dp->resync_records_applied();
-      res.pulls_served += dp->pulls_served();
-      res.gap_resyncs += dp->gap_resyncs();
-    }
-    res.drops_loss = transport.packets_dropped(net::DropCause::kLoss);
-    res.drops_partition = transport.packets_dropped(net::DropCause::kPartition);
-    res.drops_unknown_destination =
-        transport.packets_dropped(net::DropCause::kUnknownDestination);
-  }
-
-  {
-    metrics::OverloadCounters& ov = result.overload;
-    for (const auto& dp : dps) {
-      const net::ServiceContainer& container = dp->server().container();
-      ov.submitted += container.submitted();
-      ov.shed_queue_full += container.refused();
-      ov.shed_deadline += container.shed_deadline();
-      ov.lifo_pickups += container.lifo_pickups();
-      ov.aborted += container.aborted();
-    }
-    for (const auto& client : clients) {
-      ov.overload_nacks += client->overload_nacks();
-      ov.retry_after_honored += client->retry_after_honored();
-      ov.retries_budget_denied += client->retries_budget_denied();
-      ov.p2c_decisions += client->p2c_decisions();
-      result.clients.queries += client->queries();
-      result.clients.handled += client->handled();
-      result.clients.fallbacks += client->fallbacks();
-      result.clients.starvations += client->starvations();
-      result.clients.report_retries += client->report_retries();
-      result.clients.dedup_replies += client->dedup_replies();
-    }
-    for (const auto& site : grid.sites()) {
-      if (site->free_cpus() < 0) ++result.sites_overcommitted;
-    }
-  }
-
-  if (config.durability) {
-    metrics::DurabilityCounters& dur = result.durability;
-    for (const auto& dp : dps) {
-      if (const durable::SimDisk* disk = dp->disk()) {
-        const durable::DiskCounters& dc = disk->counters();
-        dur.wal_appends += dc.appends;
-        dur.wal_bytes += dc.bytes_appended;
-        dur.fsyncs += dc.fsyncs;
-        dur.checkpoints_written += dc.checkpoints_written;
-        dur.log_truncations += dc.log_truncations;
-        dur.torn_tails += dc.torn_tails;
-        dur.bit_flips += dc.bit_flips;
-      }
-      dur.recoveries += dp->recoveries();
-      dur.replay_frames += dp->replay_frames();
-      dur.replay_records += dp->replay_records();
-      dur.replay_dedup_entries += dp->replay_dedup_entries();
-      dur.replay_truncations += dp->replay_truncations();
-      dur.checkpoint_fallbacks += dp->checkpoint_fallbacks();
-      dur.replay_mismatches += dp->replay_mismatches();
-      dur.dedup_hits += dp->dedup_hits();
-      dur.duplicate_dispatches += dp->duplicate_dispatches();
-    }
-    for (const auto& client : clients) {
-      dur.client_report_retries += client->report_retries();
-      dur.client_dedup_replies += client->dedup_replies();
-    }
-  }
-
-  if (config.membership) {
-    metrics::MembershipCounters& mem = result.membership;
-    for (const auto& dp : dps) {
-      if (const digruber::MembershipTable* table = dp->membership()) {
-        mem.suspicions += table->counters().suspicions;
-        mem.deaths_declared += table->counters().deaths;
-        mem.refutations += table->counters().refutations;
-        mem.joins_observed += table->counters().joins_observed;
-        mem.leaves_observed += table->counters().leaves_observed;
-      }
-      if (dp->join_started_at().to_seconds() > 0.0) {
-        ++mem.joins_started;
-        if (dp->serving_since().to_seconds() > 0.0) ++mem.joins_completed;
-      }
-      mem.join_snapshot_retries += dp->join_retries();
-      mem.join_snapshot_records += dp->join_snapshot_records();
-      mem.snapshots_served += dp->snapshots_served();
-      mem.drain_nacks += dp->drain_nacks_sent();
-    }
-    for (const auto& client : clients) {
-      mem.client_updates_applied += client->membership_updates_applied();
-      mem.client_dps_added += client->dps_added();
-      mem.client_dps_quarantined += client->dps_quarantined();
-      mem.client_drain_redirects += client->drain_redirects();
-    }
-  }
-
-  {
-    metrics::PartitionCounters& pt = result.partition;
-    for (const DpStats& stats : result.dps) {
-      pt.digest_mismatches += stats.digest_mismatches;
-      pt.delta_pulls_sent += stats.delta_pulls_sent;
-      pt.delta_records_applied += stats.delta_records_applied;
-      pt.delta_converged += stats.delta_converged;
-      pt.degraded_refusals += stats.degraded_refusals;
-      pt.degraded_replies += stats.degraded_replies;
-    }
-    for (const auto& client : clients) {
-      pt.client_degraded_redirects += client->degraded_redirects();
-      pt.client_degraded_hints += client->degraded_hints_seen();
-    }
-    for (const auto& dp : dps) {
-      pt.frames_bad_checksum +=
-          dp->server().requests_bad(net::BadFrameCause::kChecksum);
-    }
-    pt.packets_corrupted = transport.packets_corrupted();
   }
 
   result.samples.reserve(shared.samples.size());

@@ -183,22 +183,6 @@ class GridView {
   /// (no pruning; scans that one site only).
   [[nodiscard]] bool holds(const DispatchRecord& record) const;
 
-  /// Outcome of merging one remote record during anti-entropy.
-  struct MergeResult {
-    bool applied = false;        // the record now lives in this view
-    bool conflict = false;       // an (origin, seq) twin disagreed on content
-    bool double_commit = false;  // same logical work seen from another origin
-  };
-
-  /// Idempotent, deterministic record merge: drops exact duplicates,
-  /// resolves (origin, seq) conflicts by severity (more CPUs held) then
-  /// epoch (higher incarnation-shifted seq semantics: later `when` wins the
-  /// tie), and flags double-commits — the same (vo, group, user, when) work
-  /// admitted by two different origins across a split. Both sides of a
-  /// healed partition converge to the same record set whatever the merge
-  /// order.
-  MergeResult merge_record(const DispatchRecord& record, sim::Time now);
-
   /// Sites whose base snapshot has gone stale: refreshed at least once
   /// (as_of > 0 — static strategy-2 knowledge never stales) but not within
   /// `threshold` of `now`. Feeds the degraded-mode admission hint.

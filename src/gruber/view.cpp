@@ -214,45 +214,6 @@ bool GridView::holds(const DispatchRecord& record) const {
                      });
 }
 
-GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
-                                             sim::Time now) {
-  MergeResult out;
-  for (auto& [site, state] : sites_) {
-    prune(state, now);
-    for (auto it = state.active.begin(); it != state.active.end(); ++it) {
-      if (it->origin == record.origin && it->seq == record.seq) {
-        if (*it == record) {
-          return out;  // exact duplicate: nothing to do
-        }
-        // Conflicting twins: severity first (the allocation holding more
-        // CPUs survives, so reconciliation never under-counts committed
-        // capacity), then epoch (later `when`); keep the incumbent on a
-        // full tie so both merge orders converge to the same record.
-        out.conflict = true;
-        const bool incoming_wins =
-            record.cpus != it->cpus ? record.cpus > it->cpus
-                                    : record.when > it->when;
-        if (!incoming_wins) return out;
-        state.active.erase(it);
-        record_dispatch(record);
-        out.applied = true;
-        return out;
-      }
-      if (it->origin != record.origin && it->vo == record.vo &&
-          it->group == record.group && it->user == record.user &&
-          it->when == record.when) {
-        // The same logical work admitted independently by two origins —
-        // the split-brain double-commit signature. Keep both records (both
-        // really consumed capacity) but surface it for accounting.
-        out.double_commit = true;
-      }
-    }
-  }
-  record_dispatch(record);
-  out.applied = true;
-  return out;
-}
-
 std::size_t GridView::stale_site_count(sim::Time now,
                                        sim::Duration threshold) const {
   std::size_t stale = 0;

@@ -86,11 +86,11 @@ TEST(Client, HandledQueryPicksLeastUsedSite) {
   EXPECT_EQ(got.believed_free, 54);
   EXPECT_GT(got.response.to_seconds(), 0.0);
   EXPECT_LT(got.response.to_seconds(), 5.0);
-  EXPECT_EQ(client.handled(), 1u);
-  EXPECT_EQ(client.fallbacks(), 0u);
+  EXPECT_EQ(client.counters().handled, 1u);
+  EXPECT_EQ(client.counters().fallbacks, 0u);
   // Both round trips hit the decision point.
-  EXPECT_EQ(dp.queries_served(), 1u);
-  EXPECT_EQ(dp.selections_recorded(), 1u);
+  EXPECT_EQ(dp.counters().queries, 1u);
+  EXPECT_EQ(dp.counters().selections, 1u);
   dp.stop();
 }
 
@@ -117,8 +117,8 @@ TEST(Client, TimeoutFallsBackToRandomSite) {
   EXPECT_EQ(got.believed_free, -1);
   EXPECT_NEAR(got.response.to_seconds(), 10.0, 0.01);
   EXPECT_LT(got.site.value(), 5u);
-  EXPECT_EQ(client.fallbacks(), 1u);
-  EXPECT_EQ(client.handled(), 0u);
+  EXPECT_EQ(client.counters().fallbacks, 1u);
+  EXPECT_EQ(client.counters().handled, 0u);
   dp.stop();
 }
 
@@ -138,7 +138,7 @@ TEST(Client, StarvationFallsBackWhenNoCandidate) {
   f.sim.run_until(sim::Time::from_seconds(120));
   EXPECT_FALSE(got.handled_by_gruber);
   EXPECT_TRUE(got.starved);
-  EXPECT_EQ(client.starvations(), 1u);
+  EXPECT_EQ(client.counters().starvations, 1u);
   dp.stop();
 }
 
@@ -185,8 +185,8 @@ TEST(Client, ManyConcurrentQueriesAllComplete) {
   }
   f.sim.run_until(sim::Time::from_seconds(600));
   EXPECT_EQ(completed, 30);
-  EXPECT_EQ(client.queries(), 30u);
-  EXPECT_EQ(client.handled() + client.fallbacks(), 30u);
+  EXPECT_EQ(client.counters().queries, 30u);
+  EXPECT_EQ(client.counters().handled + client.counters().fallbacks, 30u);
   dp.stop();
 }
 

@@ -62,7 +62,7 @@ TEST(MembershipTable, SweepDeclaresSilentPeerSuspectThenDead) {
   EXPECT_TRUE(table.live_peer_nodes().empty());
 
   EXPECT_EQ(table.counters().suspicions, 1u);
-  EXPECT_EQ(table.counters().deaths, 1u);
+  EXPECT_EQ(table.counters().deaths_declared, 1u);
   // Every verdict is a view change the epoch must advertise.
   EXPECT_GT(table.epoch(), epoch0);
   ASSERT_EQ(table.transitions().size(), 2u);
@@ -307,7 +307,7 @@ TEST(Membership, DetectorDeclaresCrashedPeerDeadWithinBudget) {
     ASSERT_TRUE(survivor->membership() != nullptr);
     EXPECT_EQ(survivor->membership()->state_of(DpId(0)), MemberState::kDead);
     EXPECT_GE(survivor->membership()->counters().suspicions, 1u);
-    EXPECT_GE(survivor->membership()->counters().deaths, 1u);
+    EXPECT_GE(survivor->membership()->counters().deaths_declared, 1u);
   }
   // The dead peer dropped out of the exchange fan-out; survivors still
   // heartbeat each other.
@@ -338,10 +338,10 @@ TEST(Membership, JoinBootstrapsFromSnapshotAndAnnouncesItself) {
   // One transfer from the first seed, no retries, and the snapshot carried
   // the active dispatch record — not a full-history replay.
   EXPECT_TRUE(c.serving());
-  EXPECT_EQ(c.join_retries(), 0u);
-  EXPECT_EQ(a.snapshots_served(), 1u);
-  EXPECT_EQ(b.snapshots_served(), 0u);
-  EXPECT_EQ(c.join_snapshot_records(), 1u);
+  EXPECT_EQ(c.counters().join_snapshot_retries, 0u);
+  EXPECT_EQ(a.counters().snapshots_served, 1u);
+  EXPECT_EQ(b.counters().snapshots_served, 0u);
+  EXPECT_EQ(c.counters().join_snapshot_records, 1u);
   EXPECT_GE(c.serving_since(), at(25));
   // The bootstrapped view reflects the seed's belief: 100 - 40 on site 0.
   EXPECT_EQ(c.engine().view().estimated_free(SiteId(0), f.sim.now()), 60);
@@ -394,11 +394,11 @@ TEST(Membership, JoinRotatesToNextSeedWhenFirstCrashesMidTransfer) {
   f.sim.run_until(at(40));
   EXPECT_TRUE(refused);
   EXPECT_TRUE(c.serving());
-  EXPECT_GE(c.join_retries(), 1u);
-  EXPECT_EQ(a.snapshots_served(), 0u);
-  EXPECT_EQ(b.snapshots_served(), 1u);
-  EXPECT_EQ(c.queries_served(), 0u);
-  EXPECT_GE(c.drain_nacks_sent(), 1u);
+  EXPECT_GE(c.counters().join_snapshot_retries, 1u);
+  EXPECT_EQ(a.counters().snapshots_served, 0u);
+  EXPECT_EQ(b.counters().snapshots_served, 1u);
+  EXPECT_EQ(c.counters().queries, 0u);
+  EXPECT_GE(c.server().requests_refused_by_gate(), 1u);
   b.stop();
   c.stop();
 }
@@ -422,10 +422,10 @@ TEST(Membership, JoinerCrashMidTransferDropsLateSnapshot) {
   f.sim.schedule_at(sim::Time::from_seconds(25.001), [&] { c.crash(); });
   f.sim.run_until(at(45));
 
-  EXPECT_EQ(a.snapshots_served(), 1u);
+  EXPECT_EQ(a.counters().snapshots_served, 1u);
   EXPECT_FALSE(c.serving());
   EXPECT_FALSE(c.running());
-  EXPECT_EQ(c.join_snapshot_records(), 0u);
+  EXPECT_EQ(c.counters().join_snapshot_records, 0u);
 
   // The crashed joiner comes back and re-runs the whole join; the mesh
   // (which never admitted the aborted life) accepts the new one.
@@ -433,7 +433,7 @@ TEST(Membership, JoinerCrashMidTransferDropsLateSnapshot) {
   c.join({a.node(), b.node()});
   f.sim.run_until(at(90));
   EXPECT_TRUE(c.serving());
-  EXPECT_EQ(c.join_snapshot_records(), 1u);
+  EXPECT_EQ(c.counters().join_snapshot_records, 1u);
   EXPECT_EQ(a.membership()->state_of(DpId(2)), MemberState::kAlive);
   a.stop();
   b.stop();
@@ -459,9 +459,9 @@ TEST(Membership, JoinRidesOutPartitionedSeedViaTimeout) {
 
   f.sim.run_until(at(40));
   EXPECT_TRUE(c.serving());
-  EXPECT_GE(c.join_retries(), 1u);
-  EXPECT_EQ(b.snapshots_served(), 1u);
-  EXPECT_EQ(c.queries_served(), 0u);
+  EXPECT_GE(c.counters().join_snapshot_retries, 1u);
+  EXPECT_EQ(b.counters().snapshots_served, 1u);
+  EXPECT_EQ(c.counters().queries, 0u);
   EXPECT_GE(f.transport.packets_dropped(net::DropCause::kPartition), 1u);
   b.stop();
   c.stop();
@@ -503,12 +503,12 @@ TEST(Membership, LeaveDrainsAndRedirectsClientsToSurvivors) {
   EXPECT_EQ(b.membership()->state_of(DpId(0)), MemberState::kLeft);
   EXPECT_EQ(c.membership()->state_of(DpId(0)), MemberState::kLeft);
   EXPECT_GE(b.membership()->counters().leaves_observed, 1u);
-  EXPECT_GE(a.drain_nacks_sent(), 1u);
+  EXPECT_GE(a.server().requests_refused_by_gate(), 1u);
 
   // The typed NACK was a redirect, not a failure: no fallback, and the
   // piggybacked view quarantined the departed point for good.
-  EXPECT_EQ(client->drain_redirects(), 1u);
-  EXPECT_EQ(client->fallbacks(), 0u);
+  EXPECT_EQ(client->counters().client_drain_redirects, 1u);
+  EXPECT_EQ(client->counters().fallbacks, 0u);
   EXPECT_TRUE(client->is_quarantined(0));
   b.stop();
   c.stop();
@@ -547,16 +547,16 @@ TEST(Membership, QuarantineStopsHalfOpenReprobesOfDeadPoint) {
   std::uint64_t failovers_after_quarantine = 0;
   f.sim.schedule_at(at(75), [&] {
     EXPECT_TRUE(client->is_quarantined(0));
-    failovers_after_quarantine = client->failovers();
+    failovers_after_quarantine = client->counters().failovers;
   });
 
   f.sim.run_until(at(200));
   EXPECT_EQ(handled, 12u);
-  EXPECT_EQ(client->dps_quarantined(), 1u);
-  EXPECT_GE(client->failovers(), 1u);  // pre-quarantine probes did fail over
+  EXPECT_EQ(client->counters().client_dps_quarantined, 1u);
+  EXPECT_GE(client->counters().failovers, 1u);  // pre-quarantine probes did fail over
   // The fix under test: once membership says dead, there are no further
   // probes — not even half-open ones — so the failover count froze.
-  EXPECT_EQ(client->failovers(), failovers_after_quarantine);
+  EXPECT_EQ(client->counters().failovers, failovers_after_quarantine);
   b.stop();
 }
 
@@ -588,8 +588,8 @@ TEST(Membership, StaleEpochClientLearnsJoinerFromQueryReply) {
   ASSERT_TRUE(done);
   // The reply piggybacked the newer view: the joiner is now a routing
   // target with a fresh breaker.
-  EXPECT_GE(client->membership_updates_applied(), 1u);
-  EXPECT_EQ(client->dps_added(), 1u);
+  EXPECT_GE(client->counters().client_updates_applied, 1u);
+  EXPECT_EQ(client->counters().client_dps_added, 1u);
   ASSERT_EQ(client->decision_points().size(), 3u);
   EXPECT_EQ(client->decision_points()[2], c.node());
   EXPECT_GT(client->membership_epoch(), 0u);

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "digruber/diperf/report.hpp"
+
 namespace digruber::metrics {
 namespace {
 
@@ -146,6 +154,167 @@ TEST(Fairness, ReportSharesAndBounds) {
   const FairnessReport empty = fairness({});
   EXPECT_DOUBLE_EQ(empty.jain, 1.0);
   EXPECT_EQ(empty.consumers, 0u);
+}
+
+// --- Counter tables. -------------------------------------------------------
+
+template <class S>
+class CounterTableTest : public ::testing::Test {};
+
+using CounterSections =
+    ::testing::Types<ClientTotals, ResilienceCounters, OverloadCounters,
+                     MembershipCounters, PartitionCounters, EconomyCounters,
+                     DurabilityCounters, OverlayCounters>;
+TYPED_TEST_SUITE(CounterTableTest, CounterSections);
+
+/// Give every member row of `s` a distinct nonzero value, `base + i`.
+template <class S>
+void fill(S& s, double base) {
+  std::size_t i = 0;
+  for (const Counter<S>& row : CounterTable<S>::rows) {
+    ++i;
+    if (row.count) s.*row.count = std::uint64_t(base) + i;
+    if (row.amount) s.*row.amount = base + double(i) + 0.5;
+  }
+}
+
+TYPED_TEST(CounterTableTest, RowsCoverEveryField) {
+  using S = TypeParam;
+  EXPECT_TRUE(covers_every_field<S>());
+  // Writing through the rows reaches every 8-byte word of the struct.
+  S s{};
+  fill(s, 1.0);
+  std::vector<std::uint64_t> words(sizeof(S) / sizeof(std::uint64_t));
+  ASSERT_EQ(words.size() * sizeof(std::uint64_t), sizeof(S));
+  std::memcpy(words.data(), &s, sizeof(S));
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    EXPECT_NE(words[w], 0u) << "field " << w << " has no table row";
+  }
+}
+
+TYPED_TEST(CounterTableTest, AccumulateSumsOrMaxesEveryMember) {
+  using S = TypeParam;
+  S into{};
+  S from{};
+  fill(into, 100.0);
+  fill(from, 1.0);
+  const S before = into;
+  accumulate(into, from);
+  for (const Counter<S>& row : CounterTable<S>::rows) {
+    if (row.count) {
+      const std::uint64_t want = row.agg == Agg::kMax
+                                     ? std::max(before.*row.count, from.*row.count)
+                                     : before.*row.count + from.*row.count;
+      EXPECT_EQ(into.*row.count, want) << row.label;
+    }
+    if (row.amount) {
+      EXPECT_DOUBLE_EQ(into.*row.amount, before.*row.amount + from.*row.amount)
+          << row.label;
+    }
+  }
+}
+
+/// render_counters output as (label, value) cells, header row first.
+std::vector<std::pair<std::string, std::string>> rendered_rows(const auto& counters) {
+  std::ostringstream os;
+  diperf::render_counters(os, "test counters", counters);
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "== test counters ==");
+  const auto trim = [](const std::string& cell) {
+    const std::size_t first = cell.find_first_not_of(' ');
+    return cell.substr(first, cell.find_last_not_of(' ') - first + 1);
+  };
+  std::vector<std::pair<std::string, std::string>> rows;
+  while (std::getline(lines, line)) {
+    if (line.rfind("| ", 0) != 0) continue;
+    const std::size_t split = line.find(" | ");
+    rows.emplace_back(trim(line.substr(1, split)),
+                      trim(line.substr(split + 2, line.size() - split - 3)));
+  }
+  return rows;
+}
+
+std::string value_of(const auto& counters, const std::string& label) {
+  for (const auto& [l, v] : rendered_rows(counters)) {
+    if (l == label) return v;
+  }
+  return "missing";
+}
+
+TYPED_TEST(CounterTableTest, RendersOneRowPerEntryWithUniqueLabels) {
+  using S = TypeParam;
+  S s{};
+  fill(s, 1.0);
+  auto printed = rendered_rows(s);
+  ASSERT_FALSE(printed.empty());
+  EXPECT_EQ(printed.front().first, "counter");  // header
+  printed.erase(printed.begin());
+
+  std::vector<std::string> labels;
+  for (const Counter<S>& row : CounterTable<S>::rows) labels.push_back(row.label);
+  ASSERT_EQ(printed.size(), labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(printed[i].first, labels[i]);
+  }
+  EXPECT_EQ(std::set<std::string>(labels.begin(), labels.end()).size(),
+            labels.size());
+}
+
+TEST(CounterTable, DerivedRowsPrintTheirValues) {
+  ResilienceCounters res;
+  res.drops_loss = 2;
+  res.drops_partition = 3;
+  res.drops_unknown_destination = 4;
+  EXPECT_EQ(value_of(res, "drops: total"), "9");
+
+  OverloadCounters ov;
+  ov.refused = 5;
+  ov.shed_deadline = 6;
+  EXPECT_EQ(value_of(ov, "shed: total"), "11");
+
+  OverlayCounters ol;
+  ol.rounds = 4;
+  ol.fanout_total = 10;
+  ol.bytes_sent = 1000;
+  EXPECT_EQ(value_of(ol, "mean fan-out"), "2.50");
+  EXPECT_EQ(value_of(ol, "bytes / round"), "250");
+
+  EconomyCounters eco;
+  eco.credits_earned = 12.4;
+  EXPECT_EQ(value_of(eco, "credits earned (cpu-s)"), "12");
+}
+
+TEST(CounterTable, MaxRowsAggregateByMax) {
+  OverlayCounters total;
+  OverlayCounters a;
+  a.max_hops = 5;
+  a.rounds = 2;
+  OverlayCounters b;
+  b.max_hops = 3;
+  b.rounds = 7;
+  accumulate(total, a);
+  accumulate(total, b);
+  EXPECT_EQ(total.max_hops, 5u);
+  EXPECT_EQ(total.rounds, 9u);
+  accumulate(total, OverlayCounters{});
+  EXPECT_EQ(total.max_hops, 5u);
+}
+
+TEST(CounterTable, AccumulatePartAddsOnlyThatSourcesShare) {
+  ResilienceCounters res;
+  res.failovers = 1;
+  res.drops_loss = 7;
+  DpResilience dp;
+  dp.restarts = 2;
+  dp.pulls_served = 3;
+  accumulate_part<DpResilience>(res, dp);
+  accumulate_part<DpResilience>(res, dp);
+  EXPECT_EQ(res.restarts, 4u);
+  EXPECT_EQ(res.pulls_served, 6u);
+  EXPECT_EQ(res.failovers, 1u);
+  EXPECT_EQ(res.drops_loss, 7u);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(Resilience, EmptyPlanIsInert) {
   EXPECT_EQ(plain.resilience.failovers, 0u);
   EXPECT_EQ(plain.resilience.breaker_trips, 0u);
   EXPECT_EQ(plain.resilience.all_dps_down_fallbacks, 0u);
-  EXPECT_EQ(plain.resilience.dp_restarts, 0u);
+  EXPECT_EQ(plain.resilience.restarts, 0u);
   EXPECT_EQ(plain.resilience.resync_records, 0u);
   EXPECT_EQ(plain.resilience.drops_partition, 0u);
   EXPECT_EQ(plain.resilience.drops_unknown_destination, 0u);
@@ -72,7 +72,7 @@ TEST(Resilience, FaultsActuallyPerturbTheRun) {
   const ScenarioResult faulted = run_scenario(faulted_config());
 
   EXPECT_NE(plain.sim_events, faulted.sim_events);
-  EXPECT_EQ(faulted.resilience.dp_restarts, 1u);
+  EXPECT_EQ(faulted.resilience.restarts, 1u);
   ASSERT_EQ(faulted.dps.size(), 3u);
   EXPECT_EQ(faulted.dps[0].restarts, 1u);
   // The restarted point re-learned state from its two mesh neighbors.

@@ -224,78 +224,5 @@ TEST(GridView, HoldsMatchesOriginAndSeqUntilANewerSnapshotErases) {
   EXPECT_FALSE(view.holds(r));
 }
 
-TEST(GridViewMerge, DuplicateIsDroppedConflictResolvedBySeverity) {
-  const sim::Time now = sim::Time::from_seconds(100);
-  GridView view;
-  view.bootstrap({snapshot(0, 100, 100)});
-  const DispatchRecord r = origin_record(0, 1, 0, 4, 10, 3600);
-  ASSERT_TRUE(view.merge_record(r, now).applied);
-
-  const auto dup = view.merge_record(r, now);
-  EXPECT_FALSE(dup.applied);
-  EXPECT_FALSE(dup.conflict);
-  EXPECT_EQ(view.estimated_free(SiteId(0), now), 96);
-
-  // An (origin, seq) twin claiming MORE cpus wins (severity-first: the
-  // reconciled view never under-counts committed capacity)...
-  DispatchRecord bigger = r;
-  bigger.cpus = 9;
-  const auto up = view.merge_record(bigger, now);
-  EXPECT_TRUE(up.conflict);
-  EXPECT_TRUE(up.applied);
-  EXPECT_EQ(view.estimated_free(SiteId(0), now), 91);
-
-  // ...and a smaller twin loses against the incumbent.
-  DispatchRecord smaller = r;
-  smaller.cpus = 1;
-  const auto down = view.merge_record(smaller, now);
-  EXPECT_TRUE(down.conflict);
-  EXPECT_FALSE(down.applied);
-  EXPECT_EQ(view.estimated_free(SiteId(0), now), 91);
-}
-
-TEST(GridViewMerge, DoubleCommitFlaggedAndBothSidesKept) {
-  // The split-brain signature: two origins independently admitted the
-  // same logical work (vo, group, user, when). Both allocations really
-  // consumed capacity, so both stay — but the merge surfaces it.
-  const sim::Time now = sim::Time::from_seconds(100);
-  GridView view;
-  view.bootstrap({snapshot(0, 100, 100)});
-  const DispatchRecord from_a = origin_record(0, 1, 0, 4, 10, 3600, /*vo=*/2);
-  DispatchRecord from_b = origin_record(1, 1, 0, 4, 10, 3600, /*vo=*/2);
-  ASSERT_TRUE(view.merge_record(from_a, now).applied);
-  const auto merged = view.merge_record(from_b, now);
-  EXPECT_TRUE(merged.applied);
-  EXPECT_TRUE(merged.double_commit);
-  EXPECT_EQ(view.estimated_free(SiteId(0), now), 92);
-}
-
-TEST(GridViewMerge, ConvergesToSameDigestRegardlessOfMergeOrder) {
-  const sim::Time now = sim::Time::from_seconds(100);
-  std::vector<DispatchRecord> records = {
-      origin_record(0, 1, 0, 4, 10, 3600, 1),
-      origin_record(1, 1, 0, 6, 20, 3600, 2),
-      origin_record(1, 2, 1, 2, 30, 3600, 1),
-      origin_record(2, 5, 1, 3, 40, 3600, 3),
-  };
-  // A conflicting twin of records[1] with higher severity, mixed in at
-  // different positions on each side.
-  DispatchRecord twin = records[1];
-  twin.cpus = 8;
-
-  GridView a, b;
-  a.bootstrap({snapshot(0, 100, 100), snapshot(1, 50, 50)});
-  b.bootstrap({snapshot(0, 100, 100), snapshot(1, 50, 50)});
-  for (const auto& r : records) a.merge_record(r, now);
-  a.merge_record(twin, now);
-  b.merge_record(twin, now);
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    b.merge_record(*it, now);
-  }
-  EXPECT_TRUE(a.digest(kAsOf, kHorizon) == b.digest(kAsOf, kHorizon));
-  EXPECT_EQ(a.estimated_free(SiteId(0), now), b.estimated_free(SiteId(0), now));
-  EXPECT_EQ(a.estimated_free(SiteId(1), now), b.estimated_free(SiteId(1), now));
-}
-
 }  // namespace
 }  // namespace digruber::gruber

@@ -532,7 +532,7 @@ SeedReport run_seed(std::uint64_t seed, bool quick, bool verbose, bool churn,
   if (recovery) {
     report.recoveries = result.durability.recoveries;
     report.replayed = result.durability.replay_records;
-    report.retries = result.durability.client_report_retries;
+    report.retries = result.durability.report_retries;
     report.dedup_hits = result.durability.dedup_hits;
 
     // I11/I12 are gated per decision point on a clean disk: a schedule
@@ -542,7 +542,7 @@ SeedReport run_seed(std::uint64_t seed, bool quick, bool verbose, bool churn,
     // point the schedule never touched must recover perfectly.
     for (std::size_t d = 0; d < result.dps.size(); ++d) {
       const experiments::DpStats& dp = result.dps[d];
-      const bool clean_disk = dp.disk_torn_tails == 0 && dp.disk_bit_flips == 0;
+      const bool clean_disk = dp.torn_tails == 0 && dp.bit_flips == 0;
       if (!clean_disk) continue;
 
       // I11: replay restored exactly the pre-crash committed state.

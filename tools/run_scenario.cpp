@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   if (r.overload.submitted > 0 &&
       (r.overload.shed_total() > 0 || r.overload.overload_nacks > 0 ||
        r.overload.aborted > 0)) {
-    diperf::render_overload(std::cout, r.overload);
+    diperf::render_counters(std::cout, "overload counters", r.overload);
   }
 
   Table dps({"DP", "Queries", "Selections", "Exchanges out/in", "Records",
@@ -137,9 +137,10 @@ int main(int argc, char** argv) {
               << r.final_dps << " decision points\n";
   }
   if (cfg.overlay_options.kind != overlay::Kind::kMesh) {
-    diperf::render_overlay(std::cout, overlay::kind_name(cfg.overlay_options.kind),
-                           r.overlay);
-    std::cout << "overlay: " << overlay::kind_name(cfg.overlay_options.kind)
+    const std::string strategy = overlay::kind_name(cfg.overlay_options.kind);
+    diperf::render_counters(std::cout, "overlay counters (" + strategy + ")",
+                            r.overlay);
+    std::cout << "overlay: " << strategy
               << ", mean fan-out " << Table::num(r.overlay.mean_fanout(), 2)
               << " over " << r.overlay.rounds << " round(s), max relay depth "
               << r.overlay.max_hops << ", " << r.overlay.relays_suppressed
@@ -197,7 +198,7 @@ int main(int argc, char** argv) {
               << Table::num(r.brokered_vo_fairness.jain, 3) << " (economy off)\n";
   }
   if (economy_on) {
-    diperf::render_economy(std::cout, r.economy);
+    diperf::render_counters(std::cout, "economy counters", r.economy);
     std::cout << "economy: brokered VO fairness (Jain) "
               << Table::num(r.brokered_vo_fairness.jain, 3) << ", "
               << r.economy.credit_denials << " credit denial(s), "
