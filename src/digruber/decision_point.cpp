@@ -116,6 +116,7 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
               return false;
           }
           if (!serving_) {
+            if (membership_) ++counters_.drain_nacks;
             nack.reason = net::kNackDraining;
             nack.retry_after_us =
                 joining_ ? options_.membership.join_retry_backoff.us() : 0;
@@ -789,10 +790,6 @@ void DecisionPoint::bootstrap(const std::vector<grid::SiteSnapshot>& snapshots) 
   engine_.view().bootstrap(snapshots);
 }
 
-void DecisionPoint::set_neighbors(std::vector<NodeId> neighbors) {
-  neighbors_ = std::move(neighbors);
-}
-
 void DecisionPoint::set_overlay_view(std::vector<overlay::Member> peers) {
   std::sort(peers.begin(), peers.end(),
             [](const overlay::Member& a, const overlay::Member& b) {
@@ -1354,10 +1351,6 @@ void DecisionPoint::run_exchange(bool final_flush) {
   std::vector<NodeId> selected;
   if (sparse) {
     strategy_->select(message.exchange_round, neighbors_, selected);
-    // A sparse strategy wired through raw set_neighbors (no roster) has
-    // no structure to select from; degrade to the mesh push set rather
-    // than silently sending nothing.
-    if (selected.empty()) selected = neighbors_;
     targets = &selected;
     if (!graves.empty()) {
       selected.push_back(graves[message.exchange_round % graves.size()]);
@@ -1695,23 +1688,16 @@ void DecisionPoint::check_saturation() {
             window_avg, "s, queue ", signal.queue_depth);
 }
 
-void connect(std::vector<DecisionPoint*> dps, const overlay::Options& options) {
+void connect(std::vector<DecisionPoint*> dps) {
   for (DecisionPoint* dp : dps) {
-    // The mesh keeps raw neighbor lists: no roster, no strategy structure
-    // to maintain. Sparse strategies need the full roster (id + node per
-    // peer) so every point derives the same tree / super-peer structure.
-    std::vector<NodeId> nodes;
+    // Every strategy gets the full roster (id + node per peer): the mesh
+    // pushes to all of it, sparse strategies derive the same tree /
+    // super-peer structure from it on every point.
     std::vector<overlay::Member> peers;
     for (const DecisionPoint* other : dps) {
-      if (other == dp) continue;
-      nodes.push_back(other->node());
-      peers.push_back({other->id(), other->node()});
+      if (other != dp) peers.push_back({other->id(), other->node()});
     }
-    if (options.kind == overlay::Kind::kMesh) {
-      dp->set_neighbors(std::move(nodes));
-    } else {
-      dp->set_overlay_view(std::move(peers));
-    }
+    dp->set_overlay_view(std::move(peers));
   }
 }
 

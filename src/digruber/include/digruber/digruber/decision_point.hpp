@@ -83,7 +83,7 @@ struct DecisionPointOptions {
   /// failover). Off by default: legacy messages stay byte-identical.
   bool advertise_load = false;
   /// Dynamic membership (failure detector + runtime join/leave). Off by
-  /// default: the mesh is the static `set_neighbors` wiring and all
+  /// default: the mesh is the static `connect` wiring and all
   /// messages keep their legacy byte layout. When enabled, the neighbor
   /// set is derived from the membership table, exchanges carry the
   /// gossiped view, and heartbeats piggyback on the exchange rounds.
@@ -154,14 +154,10 @@ class DecisionPoint {
   /// Install complete static knowledge of the grid (strategy 2 premise).
   void bootstrap(const std::vector<grid::SiteSnapshot>& snapshots);
 
-  /// Peers this decision point pushes exchange messages to.
-  void set_neighbors(std::vector<NodeId> neighbors);
-
-  /// Static overlay wiring: install the full live peer roster (sorted or
-  /// not; it is sorted by DpId here) and let the strategy derive this
-  /// point's push set from it. `set_neighbors` remains the raw
-  /// mesh-equivalent wiring; under membership the view is re-derived from
-  /// the table instead and both calls are superseded by refresh.
+  /// Static wiring: install the full peer roster (sorted or not; it is
+  /// sorted by DpId here) and let the strategy derive this point's push
+  /// set from it. Under membership the roster is re-derived from the
+  /// table instead, superseding this call on every refresh.
   void set_overlay_view(std::vector<overlay::Member> peers);
 
   /// Fault injection: kill this decision point. It detaches from the
@@ -435,10 +431,11 @@ class DecisionPoint {
   std::unique_ptr<sim::PeriodicTimer> checkpoint_timer_;
 };
 
-/// Wire a set of decision points under a dissemination strategy. With
-/// `Kind::kMesh` every point's neighbors are all the others, in `dps`
-/// order (the paper's full mesh); a sparse strategy gets the full roster
-/// and derives the actual per-round push set from it.
-void connect(std::vector<DecisionPoint*> dps, const overlay::Options& options);
+/// Wire a set of decision points statically: each gets every other point
+/// as its roster through `set_overlay_view`, and its own dissemination
+/// strategy (`DecisionPointOptions::overlay`) derives the push set from
+/// it. Under the mesh that is all the others, in DpId order (the paper's
+/// full mesh).
+void connect(std::vector<DecisionPoint*> dps);
 
 }  // namespace digruber::digruber

@@ -6,6 +6,7 @@
 #include "digruber/durable/disk.hpp"
 #include "digruber/economy/economy.hpp"
 #include "digruber/gruber/view.hpp"
+#include "digruber/net/wire/archive.hpp"
 #include "digruber/sim/time.hpp"
 
 namespace digruber::digruber {
@@ -48,14 +49,7 @@ struct WalDispatch {
   template <class Archive>
   void serialize(Archive& ar) {
     ar & record & applied_at;
-    if constexpr (Archive::kIsWriter) {
-      if (has_request_id) ar & request_client & request_seq;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & request_client & request_seq;
-        has_request_id = true;
-      }
-    }
+    net::wire::trailer(ar, has_request_id, request_client, request_seq);
   }
 };
 

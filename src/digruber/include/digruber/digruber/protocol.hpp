@@ -6,6 +6,7 @@
 #include "digruber/digruber/membership.hpp"
 #include "digruber/grid/job.hpp"
 #include "digruber/gruber/view.hpp"
+#include "digruber/net/wire/archive.hpp"
 #include "digruber/net/wire/stats.hpp"
 
 namespace digruber::digruber {
@@ -88,19 +89,8 @@ struct GetSiteLoadsRequest {
   template <class Archive>
   void serialize(Archive& ar) {
     ar & job & vo & group & user & cpus;
-    if constexpr (Archive::kIsWriter) {
-      if (has_epoch) ar & membership_epoch;
-      if (has_bid) ar & budget & deadline_s;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & membership_epoch;
-        has_epoch = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & budget & deadline_s;
-        has_bid = true;
-      }
-    }
+    net::wire::trailer(ar, has_epoch, membership_epoch);
+    net::wire::trailer(ar, has_bid, budget, deadline_s);
   }
 };
 
@@ -171,28 +161,11 @@ struct GetSiteLoadsReply {
   template <class Archive>
   void serialize(Archive& ar) {
     ar & candidates & as_of;
-    if constexpr (Archive::kIsWriter) {
-      if (!dp_loads.empty()) ar & dp_loads;
-      if (has_membership) ar & membership;
-      if (has_digest) ar & digest;
-      if (has_degraded) ar & degraded;
-      if (!dp_prices.empty()) ar & dp_prices;
-    } else {
-      if (ar.remaining() > 0) ar & dp_loads;
-      if (ar.remaining() > 0) {
-        ar & membership;
-        has_membership = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & digest;
-        has_digest = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & degraded;
-        has_degraded = true;
-      }
-      if (ar.remaining() > 0) ar & dp_prices;
-    }
+    net::wire::trailer(ar, !dp_loads.empty(), dp_loads);
+    net::wire::trailer(ar, has_membership, membership);
+    net::wire::trailer(ar, has_digest, digest);
+    net::wire::trailer(ar, has_degraded, degraded);
+    net::wire::trailer(ar, !dp_prices.empty(), dp_prices);
   }
 };
 
@@ -223,19 +196,9 @@ struct ReportSelectionRequest {
   template <class Archive>
   void serialize(Archive& ar) {
     ar & job & site & vo & group & user & cpus & est_runtime;
-    if constexpr (Archive::kIsWriter) {
-      if (has_bid || has_request_id) ar & budget & deadline_s;
-      if (has_request_id) ar & request_client & request_seq;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & budget & deadline_s;
-        has_bid = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & request_client & request_seq;
-        has_request_id = true;
-      }
-    }
+    net::wire::trailer(ar, net::wire::Forced{has_bid, has_request_id}, budget,
+                       deadline_s);
+    net::wire::trailer(ar, has_request_id, request_client, request_seq);
   }
 };
 
@@ -251,14 +214,7 @@ struct Ack {
   template <class Archive>
   void serialize(Archive& ar) {
     ar & ok;
-    if constexpr (Archive::kIsWriter) {
-      if (has_original) ar & original_site;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & original_site;
-        has_original = true;
-      }
-    }
+    net::wire::trailer(ar, has_original, original_site);
   }
 };
 
@@ -312,34 +268,11 @@ struct ExchangeMessage {
   template <class Archive>
   void serialize(Archive& ar) {
     ar & from & exchange_round & dispatches & snapshots;
-    if constexpr (Archive::kIsWriter) {
-      if (has_load) ar & load;
-      if (has_membership) ar & membership;
-      if (has_digest) ar & digest;
-      if (has_price) ar & price;
-      if (has_hops) ar & hops & hop_depths;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & load;
-        has_load = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & membership;
-        has_membership = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & digest;
-        has_digest = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & price;
-        has_price = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & hops & hop_depths;
-        has_hops = true;
-      }
-    }
+    net::wire::trailer(ar, has_load, load);
+    net::wire::trailer(ar, has_membership, membership);
+    net::wire::trailer(ar, has_digest, digest);
+    net::wire::trailer(ar, has_price, price);
+    net::wire::trailer(ar, has_hops, hops, hop_depths);
   }
 };
 
@@ -364,9 +297,10 @@ struct CreateInstanceReply {
 };
 
 /// Joining DP -> seed peer: ask for the bootstrap snapshot. The joiner
-/// identifies itself so the seed can admit it into the membership view
-/// (and start exchanging with it) as a side effect of serving the
-/// snapshot.
+/// identifies itself, but serving the snapshot does not admit it into
+/// the seed's membership view: the joiner announces itself with its first
+/// exchange once it can serve, so clients never route to a point that is
+/// still bootstrapping.
 struct JoinSnapshotRequest {
   DpId from;
   std::uint64_t node = 0;  // joiner's RPC server address

@@ -268,7 +268,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     std::vector<digruber::DecisionPoint*> raw;
     raw.reserve(dps.size());
     for (auto& dp : dps) raw.push_back(dp.get());
-    digruber::connect(std::move(raw), dp_options.overlay);
+    digruber::connect(std::move(raw));
   };
   auto add_dp = [&] {
     if (dp_options.durability.enabled) {
@@ -688,9 +688,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         stats.serving_since_s = dp->serving_since().to_seconds();
       }
       stats.membership_transitions = table->transitions();
-      // The door gate's refusals (draining, replaying, degraded) are
-      // reported as drain NACKs for membership points only.
-      result.membership.drain_nacks += dp->server().requests_refused_by_gate();
     }
     if (const economy::CreditBank* bank = dp->bank()) {
       stats.economy = bank->stats();

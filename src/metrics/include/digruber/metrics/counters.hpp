@@ -221,6 +221,7 @@ struct DpMembership {
   std::uint64_t join_snapshot_retries = 0;  // failed transfers, seed rotated
   std::uint64_t join_snapshot_records = 0;  // records bootstrapped (no replay)
   std::uint64_t snapshots_served = 0;       // bootstrap snapshots handed out
+  std::uint64_t drain_nacks = 0;            // queries refused while not serving
 };
 
 struct ClientMembership {
@@ -233,7 +234,6 @@ struct ClientMembership {
 struct MembershipCounters : DetectorCounters, DpMembership, ClientMembership {
   std::uint64_t joins_started = 0;    // join() bootstraps initiated
   std::uint64_t joins_completed = 0;  // joiners that reached serving
-  std::uint64_t drain_nacks = 0;      // query refusals while not serving
 };
 
 template <>

@@ -25,9 +25,9 @@ class Endpoint {
   virtual void on_packet(Packet packet) = 0;
 };
 
-/// Message-passing abstraction. Two implementations: SimTransport runs on
-/// the discrete-event kernel with a WAN latency model; InProcTransport
-/// delivers across real threads for concurrency integration tests.
+/// Message-passing abstraction. SimTransport implements it on the
+/// discrete-event kernel with a WAN latency model; protocol actors see
+/// only this interface.
 class Transport {
  public:
   virtual ~Transport() = default;

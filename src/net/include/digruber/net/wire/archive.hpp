@@ -393,6 +393,40 @@ class Reader {
   bool ok_ = true;
 };
 
+/// One optional trailing field group. Message structs append optional
+/// fields after their fixed layout, in a fixed order, so legacy senders
+/// and receivers stay byte-compatible: a writer emits `fields` only when
+/// `present` is true, and a reader decodes them only when bytes remain,
+/// then sets `present`. Pass the group's own flag, or an expression such
+/// as `!v.empty()` when the fields carry their presence themselves (the
+/// reader then sets a temporary). Groups stack positionally: a sender
+/// that attaches a group must also attach every earlier one.
+///
+///   ar & job & cpus;
+///   trailer(ar, has_epoch, membership_epoch);
+///   trailer(ar, has_bid, budget, deadline_s);
+template <class Archive, class Present, class... Fields>
+void trailer(Archive& ar, Present&& present, Fields&... fields) {
+  if constexpr (Archive::kIsWriter) {
+    if (present) (ar & ... & fields);
+  } else if (ar.remaining() > 0) {
+    (ar & ... & fields);
+    present = true;
+  }
+}
+
+/// Presence of a trailer group that a later group forces onto the wire:
+/// written when either `own` or `later` is set; decoding sets `own`.
+struct Forced {
+  bool& own;
+  bool later;
+  explicit operator bool() const { return own || later; }
+  Forced& operator=(bool value) {
+    own = value;
+    return *this;
+  }
+};
+
 /// Encode any serializable struct to bytes. A Sizer pass first computes
 /// the exact length, so the output vector is allocated once.
 template <class T>

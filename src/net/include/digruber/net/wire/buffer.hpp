@@ -12,16 +12,13 @@ namespace digruber::net {
 /// Ref-counted, immutable, contiguous byte buffer — the unit of ownership
 /// on the message path. A `Buffer` is a view into shared storage: copying
 /// or slicing one bumps a reference count instead of copying bytes, so a
-/// frame encoded once can be handed to N transport queues, parked in a
-/// container admission queue, and delivered on another thread without a
-/// single payload copy. The storage is never mutated after construction,
-/// which is what makes the sharing safe (see docs/protocol.md, "Buffer
-/// ownership and lifetime").
+/// frame encoded once can be handed to N transport queues and parked in a
+/// container admission queue without a single payload copy. The storage
+/// is never mutated after construction, which is what makes the sharing
+/// safe (see docs/protocol.md, "Buffer ownership and lifetime").
 ///
-/// Cross-thread rules: the reference count is atomic (std::shared_ptr
-/// control block), so Buffers may be copied into and destroyed on other
-/// threads freely — InProcTransport relies on this to keep payloads alive
-/// past a detach of the receiving endpoint.
+/// The reference count is a std::shared_ptr control block, so it is
+/// atomic: Buffers may also be copied and destroyed on other threads.
 class Buffer {
  public:
   Buffer() = default;

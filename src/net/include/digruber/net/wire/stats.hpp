@@ -22,8 +22,8 @@ inline constexpr std::size_t kMsgCategoryCount = 4;
 /// was serialized and how many bytes it put on the wire. The single-encode
 /// fan-out invariant is asserted against `encodes(kStateExchange)`: one
 /// serialization per exchange round, regardless of peer count. Counters
-/// are relaxed atomics — safe under InProcTransport's real threads, free
-/// of ordering effects on the simulated path.
+/// are relaxed atomics: safe if frames are encoded on several threads,
+/// and free of ordering effects on the single-threaded simulated path.
 class WireStats {
  public:
   void record_encode(MsgCategory category, std::size_t frame_bytes) {

@@ -126,7 +126,7 @@ TEST(DecisionPoint, ExchangePropagatesDispatchRecords) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   ReportSelectionRequest report;
   report.site = SiteId(1);
@@ -169,7 +169,7 @@ TEST(DecisionPoint, ExchangeRoundEncodesOnceRegardlessOfPeerCount) {
     dps.back()->bootstrap(f.snapshots());
     raw.push_back(dps.back().get());
   }
-  connect(raw, overlay::Options{});
+  connect(raw);
 
   const net::wire::WireStats& stats = net::wire::wire_stats();
   const std::uint64_t encodes_before =
@@ -200,7 +200,7 @@ TEST(DecisionPoint, FloodingDedupsAcrossMesh) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   DecisionPoint c(f.sim, f.transport, DpId(2), f.catalog, f.tree, options);
   for (DecisionPoint* dp : {&a, &b, &c}) dp->bootstrap(f.snapshots());
-  connect({&a, &b, &c}, overlay::Options{});
+  connect({&a, &b, &c});
 
   ReportSelectionRequest report;
   report.site = SiteId(0);
@@ -234,7 +234,7 @@ TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   ReportSelectionRequest report;
   report.site = SiteId(0);

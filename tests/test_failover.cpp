@@ -81,7 +81,7 @@ TEST(Failover, CrashedPrimaryFailsOverToBackupWithinDeadline) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(5);
@@ -166,7 +166,7 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   net::RpcClient rpc(f.sim, f.transport);
   ReportSelectionRequest report;
@@ -219,7 +219,7 @@ TEST(Failover, MeshDpAnswersFullPullAfterPeerRestart) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   net::RpcClient rpc(f.sim, f.transport);
   for (const std::int32_t cpus : {20, 15}) {
@@ -274,7 +274,7 @@ TEST(Failover, PartitionDropsExchangeTrafficUntilHealed) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   net::RpcClient rpc(f.sim, f.transport);
   ReportSelectionRequest report;
@@ -331,7 +331,7 @@ TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   net::RpcClient rpc_a(f.sim, f.transport);
   net::RpcClient rpc_b(f.sim, f.transport);
@@ -412,7 +412,7 @@ TEST(Failover, TargetedPullRestoresRecordErasedByNewerBase) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   net::RpcClient rpc(f.sim, f.transport);
   ReportSelectionRequest report;
@@ -460,7 +460,7 @@ TEST(Failover, DegradedNackRedirectsWithoutQuarantine) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, overlay::Options{});
+  connect({&a, &b});
 
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(5);

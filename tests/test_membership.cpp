@@ -399,6 +399,7 @@ TEST(Membership, JoinRotatesToNextSeedWhenFirstCrashesMidTransfer) {
   EXPECT_EQ(b.counters().snapshots_served, 1u);
   EXPECT_EQ(c.counters().queries, 0u);
   EXPECT_GE(c.server().requests_refused_by_gate(), 1u);
+  EXPECT_GE(c.counters().drain_nacks, 1u);
   b.stop();
   c.stop();
 }
@@ -504,6 +505,7 @@ TEST(Membership, LeaveDrainsAndRedirectsClientsToSurvivors) {
   EXPECT_EQ(c.membership()->state_of(DpId(0)), MemberState::kLeft);
   EXPECT_GE(b.membership()->counters().leaves_observed, 1u);
   EXPECT_GE(a.server().requests_refused_by_gate(), 1u);
+  EXPECT_EQ(a.counters().drain_nacks, a.server().requests_refused_by_gate());
 
   // The typed NACK was a redirect, not a failure: no fallback, and the
   // piggybacked view quarantined the departed point for good.

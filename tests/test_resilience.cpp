@@ -134,6 +134,24 @@ TEST(Resilience, MembershipChurnRunJoinsLeavesAndQuarantines) {
   }
 }
 
+TEST(Resilience, DegradedRefusalsAreNotDrainNacks) {
+  // With membership and partition tolerance both on, the door gate refuses
+  // queries for two causes: not serving (a drain NACK) and quorum lost
+  // (a degraded refusal). A split with no churn produces only the second,
+  // and each must be counted once, under its own row.
+  ScenarioConfig cfg = small_config();
+  cfg.membership = true;
+  cfg.partition_tolerance = true;
+  cfg.exchange_interval = sim::Duration::seconds(15);
+  cfg.partition_options.staleness_threshold = sim::Duration::seconds(45);
+  cfg.fault_plan.partition(sim::Time::from_seconds(120), {{0}, {1, 2}})
+      .heal(sim::Time::from_seconds(450));
+  const ScenarioResult r = run_scenario(cfg);
+
+  EXPECT_GT(r.partition.degraded_refusals, 0u);
+  EXPECT_EQ(r.membership.drain_nacks, 0u);
+}
+
 TEST(Resilience, ChurnVerbsRequireMembership) {
   ScenarioConfig cfg = small_config();
   cfg.fault_plan.join(sim::Time::from_seconds(120));
